@@ -1,5 +1,7 @@
 #include "mem/cache.h"
 
+#include <bit>
+
 #include "util/error.h"
 
 namespace usca::mem {
@@ -16,15 +18,20 @@ cache::cache(const cache_config& config) : config_(config) {
     throw util::usca_error("cache set count must be a power of two");
   }
   lines_.resize(num_sets_ * config_.ways);
+  line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
+  tag_shift_ =
+      line_shift_ + static_cast<unsigned>(std::countr_zero(num_sets_));
 }
 
+// Both shifts are below 64, so shifting the widened address is defined even
+// where a geometry spans the whole 32-bit space (the tag is then 0).
 std::size_t cache::set_index(std::uint32_t address) const noexcept {
-  return (address / config_.line_bytes) & (num_sets_ - 1);
+  return static_cast<std::size_t>(std::uint64_t{address} >> line_shift_) &
+         (num_sets_ - 1);
 }
 
 std::uint32_t cache::tag_of(std::uint32_t address) const noexcept {
-  return static_cast<std::uint32_t>(address /
-                                    (config_.line_bytes * num_sets_));
+  return static_cast<std::uint32_t>(std::uint64_t{address} >> tag_shift_);
 }
 
 int cache::access(std::uint32_t address) {

@@ -56,6 +56,8 @@ private:
 
   cache_config config_;
   std::size_t num_sets_;
+  unsigned line_shift_ = 0; ///< log2(line_bytes): address -> line number
+  unsigned tag_shift_ = 0;  ///< log2(line_bytes * num_sets_): address -> tag
   std::vector<line> lines_; ///< num_sets_ * ways, row-major by set
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;

@@ -1,114 +1,68 @@
 #include "mem/memory.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/error.h"
 
 namespace usca::mem {
 
-namespace {
-
-constexpr std::uint32_t page_number(std::uint32_t address) noexcept {
-  return address >> memory::page_bits;
+bool memory::claim(std::uint32_t address) {
+  if (arena_.empty()) {
+    arena_base_ = address & ~static_cast<std::uint32_t>(page_size - 1);
+  }
+  const std::uint32_t offset = address - arena_base_;
+  if (offset >= arena_span) {
+    return false;
+  }
+  if (offset >= arena_.size()) {
+    arena_.resize((offset / page_size + 1) * page_size, 0);
+  }
+  return true;
 }
 
-constexpr std::size_t page_offset(std::uint32_t address) noexcept {
-  return address & (memory::page_size - 1);
+std::uint8_t* memory::touch(std::uint32_t address) {
+  if (claim(address)) {
+    return &arena_[address - arena_base_];
+  }
+  std::vector<std::uint8_t>& page = pages_[address >> page_bits];
+  if (page.empty()) {
+    page.resize(page_size, 0);
+  }
+  return &page[address & (page_size - 1)];
 }
 
-} // namespace
-
-const memory::page* memory::find_page(std::uint32_t address) const noexcept {
-  const std::uint32_t number = page_number(address);
-  if (memo_page_ != nullptr && memo_number_ == number) {
-    return memo_page_;
-  }
-  const auto it = pages_.find(number);
-  if (it == pages_.end()) {
-    return nullptr;
-  }
-  memo_number_ = number;
-  memo_page_ = const_cast<page*>(&it->second);
-  return &it->second;
+const std::uint8_t* memory::sparse_byte(std::uint32_t address) const noexcept {
+  const auto it = pages_.find(address >> page_bits);
+  return it == pages_.end() ? nullptr
+                            : &it->second[address & (page_size - 1)];
 }
 
-memory::page& memory::touch_page(std::uint32_t address) {
-  const std::uint32_t number = page_number(address);
-  if (memo_page_ != nullptr && memo_number_ == number) {
-    return *memo_page_;
-  }
-  page& p = pages_[number];
-  if (p.empty()) {
-    p.resize(page_size, 0);
-  }
-  memo_number_ = number;
-  memo_page_ = &p;
-  return p;
-}
-
-std::uint8_t memory::read8(std::uint32_t address) const noexcept {
-  const page* p = find_page(address);
-  return p ? (*p)[page_offset(address)] : 0;
-}
-
-std::uint16_t memory::read16(std::uint32_t address) const {
-  if (address % 2 != 0) {
-    throw util::simulation_error("unaligned halfword read");
-  }
-  return static_cast<std::uint16_t>(read8(address) |
-                                    (read8(address + 1) << 8));
-}
-
-std::uint32_t memory::read32(std::uint32_t address) const {
-  if (address % 4 != 0) {
-    throw util::simulation_error("unaligned word read");
-  }
-  return static_cast<std::uint32_t>(read8(address)) |
-         (static_cast<std::uint32_t>(read8(address + 1)) << 8) |
-         (static_cast<std::uint32_t>(read8(address + 2)) << 16) |
-         (static_cast<std::uint32_t>(read8(address + 3)) << 24);
-}
-
-void memory::write8(std::uint32_t address, std::uint8_t value) {
-  touch_page(address)[page_offset(address)] = value;
-}
-
-void memory::write16(std::uint32_t address, std::uint16_t value) {
-  if (address % 2 != 0) {
-    throw util::simulation_error("unaligned halfword write");
-  }
-  write8(address, static_cast<std::uint8_t>(value));
-  write8(address + 1, static_cast<std::uint8_t>(value >> 8));
-}
-
-void memory::write32(std::uint32_t address, std::uint32_t value) {
-  if (address % 4 != 0) {
-    throw util::simulation_error("unaligned word write");
-  }
-  for (int i = 0; i < 4; ++i) {
-    write8(address + static_cast<std::uint32_t>(i),
-           static_cast<std::uint8_t>(value >> (8 * i)));
-  }
+void memory::throw_unaligned(const char* what) {
+  throw util::simulation_error(what);
 }
 
 void memory::load(std::uint32_t base, const std::vector<std::uint8_t>& bytes) {
+  if (bytes.empty()) {
+    return;
+  }
+  // One copy when the image fits the arena without wrapping past 0xffffffff.
+  const std::uint32_t last =
+      base + static_cast<std::uint32_t>(bytes.size() - 1);
+  if (bytes.size() <= arena_span && last >= base && claim(base) &&
+      claim(last)) {
+    std::memcpy(&arena_[base - arena_base_], bytes.data(), bytes.size());
+    return;
+  }
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     write8(base + static_cast<std::uint32_t>(i), bytes[i]);
   }
 }
 
-std::uint32_t memory::containing_word(std::uint32_t address) const {
-  return read32(address & ~3U);
-}
-
-void memory::clear() noexcept {
-  pages_.clear();
-  memo_page_ = nullptr;
-}
-
 void memory::reset() noexcept {
-  for (auto& [number, bytes] : pages_) {
-    std::fill(bytes.begin(), bytes.end(), std::uint8_t{0});
+  std::fill(arena_.begin(), arena_.end(), std::uint8_t{0});
+  for (auto& [number, page] : pages_) {
+    std::fill(page.begin(), page.end(), std::uint8_t{0});
   }
 }
 
