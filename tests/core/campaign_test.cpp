@@ -4,11 +4,13 @@
 // end-to-end CPA key recovery through the campaign API.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <vector>
 
 #include "core/campaign.h"
 #include "crypto/aes_codegen.h"
+#include "sim/ooo/speculation.h"
 #include "stats/cpa.h"
 #include "stats/ttest.h"
 #include "util/bitops.h"
@@ -268,6 +270,110 @@ TEST(TraceCampaign, StatisticsIdenticalAcrossThreadCounts) {
   for (std::size_t s = 0; s < serial.size(); ++s) {
     EXPECT_EQ(serial[s], parallel[s]);
   }
+}
+
+// ---------------------------------------------------------------- golden
+// Cross-version pins: FNV-1a over every record's index, plaintext, sample
+// bits, cycle count and window for fixed configurations of each campaign
+// path (batched, per-trace, OoO, speculating, dual-core, TVLA policy).
+// The other campaign tests only check self-consistency; these constants
+// catch a refactor that changes what a campaign produces.
+
+class record_digest {
+public:
+  void mix(std::uint64_t value) noexcept {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void mix(const core::trace_record& rec) {
+    mix(rec.index);
+    for (const std::uint8_t b : rec.plaintext) {
+      mix(std::uint64_t{b});
+    }
+    mix(rec.samples.size());
+    for (const double s : rec.samples) {
+      mix(std::bit_cast<std::uint64_t>(s));
+    }
+    mix(rec.cycles);
+    mix(rec.window_begin);
+    mix(rec.window_end);
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+core::campaign_config golden_config() {
+  core::campaign_config config = small_config(40, 2, 0x601d);
+  config.window = {crypto::mark_encrypt_begin, crypto::mark_round1_end};
+  return config;
+}
+
+std::uint64_t golden_digest(core::trace_campaign& campaign) {
+  record_digest digest;
+  std::size_t records = 0;
+  campaign.run([&](core::trace_record&& rec) {
+    digest.mix(rec);
+    ++records;
+  });
+  EXPECT_EQ(records, campaign.config().traces);
+  return digest.value();
+}
+
+std::uint64_t golden_digest(const core::campaign_config& config) {
+  core::trace_campaign campaign(config, kKey);
+  return golden_digest(campaign);
+}
+
+TEST(CampaignGolden, InorderBatched) {
+  EXPECT_EQ(golden_digest(golden_config()), 0x13a2ce855b65e972ULL);
+}
+
+TEST(CampaignGolden, InorderPerTrace) {
+  core::campaign_config config = golden_config();
+  config.sim_batch_lanes = 0;
+  EXPECT_EQ(golden_digest(config), 0x13a2ce855b65e972ULL);
+}
+
+TEST(CampaignGolden, OooBatched) {
+  core::campaign_config config = golden_config();
+  config.backend = sim::backend_kind::ooo;
+  config.uarch = sim::cortex_a7_ooo();
+  EXPECT_EQ(golden_digest(config), 0x6d9d967ce11ea02bULL);
+}
+
+TEST(CampaignGolden, OooSpeculatingPerTrace) {
+  core::campaign_config config = golden_config();
+  config.backend = sim::backend_kind::ooo;
+  sim::speculation_config spec;
+  spec.predictor = sim::predictor_kind::bimodal;
+  config.uarch = sim::cortex_a7_ooo_spec(spec);
+  EXPECT_EQ(golden_digest(config), 0x5e98b36fa5b6ba7dULL);
+}
+
+TEST(CampaignGolden, SimulatedSecondCore) {
+  core::campaign_config config = golden_config();
+  config.simulated_second_core = true;
+  EXPECT_EQ(golden_digest(config), 0xdc3fbac494c9ee82ULL);
+}
+
+TEST(CampaignGolden, TvlaFixedVsRandomPolicy) {
+  const crypto::aes_block fixed_pt = {0xda, 0x39, 0xa3, 0xee, 0x5e, 0x6b,
+                                      0x4b, 0x0d, 0x32, 0x55, 0xbf, 0xef,
+                                      0x95, 0x60, 0x18, 0x90};
+  core::trace_campaign campaign(golden_config(), kKey);
+  campaign.set_plaintext_policy(
+      [fixed_pt](std::size_t index, util::xoshiro256& rng) {
+        crypto::aes_block pt;
+        for (auto& b : pt) {
+          b = rng.next_u8();
+        }
+        return index % 2 == 0 ? fixed_pt : pt;
+      });
+  EXPECT_EQ(golden_digest(campaign), 0x17ab470e92c54be5ULL);
 }
 
 } // namespace

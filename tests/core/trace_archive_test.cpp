@@ -12,6 +12,7 @@
 #include "core/analysis_sinks.h"
 #include "core/trace_archive.h"
 #include "core/trace_stream.h"
+#include "crypto/aes_codegen.h"
 #include "power/trace_store_reader.h"
 #include "util/error.h"
 
@@ -223,6 +224,56 @@ TEST(TraceArchive, TvlaFromArchiveMatchesLiveAccumulation) {
   for (std::size_t s = 0; s < live.tvla().samples(); ++s) {
     EXPECT_EQ(live.tvla().at(s).t, replayed.tvla().at(s).t);
   }
+  std::remove(path.c_str());
+}
+
+// Cross-version pins: the stored config hashes bind existing archives to
+// their configuration (a changed hash refuses every archive on disk), and
+// the bytes of a small AES archive fix the whole record pipeline down to
+// the file format.
+
+const crypto::aes_key kGoldenKey = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae,
+                                    0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88,
+                                    0x09, 0xcf, 0x4f, 0x3c};
+
+core::campaign_config golden_aes_config() {
+  core::campaign_config config;
+  config.traces = 10;
+  config.threads = 1;
+  config.seed = 0xa4c;
+  config.averaging = 2;
+  config.window = {crypto::mark_ark0_end, crypto::mark_sb1_end};
+  return config;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ArchiveGolden, ConfigHashesArePinned) {
+  EXPECT_EQ(core::acquisition_config_hash(
+                small_config(sim::backend_kind::inorder)),
+            0x9b3267209d7382b5ULL);
+  EXPECT_EQ(core::acquisition_config_hash(small_config(sim::backend_kind::ooo)),
+            0xf9ae77f563f25fb4ULL);
+  EXPECT_EQ(core::aes_campaign_config_hash(golden_aes_config(), kGoldenKey),
+            0xd664724e558dc50bULL);
+}
+
+TEST(ArchiveGolden, AesArchiveBytesArePinned) {
+  const std::string path = temp_path("golden_aes");
+  std::remove(path.c_str());
+  const core::archive_result result = core::archive_aes_campaign(
+      golden_aes_config(), kGoldenKey, path, small_chunks());
+  EXPECT_EQ(result.total, 10u);
+  const std::string bytes = file_bytes(path);
+  EXPECT_EQ(bytes.size(), 10448u);
+  EXPECT_EQ(fnv1a(bytes), 0xeaa5c7d17e29cac4ULL);
   std::remove(path.c_str());
 }
 
