@@ -1,8 +1,7 @@
 #include "core/acquisition.h"
 
-#include <utility>
-
 #include <array>
+#include <utility>
 
 #include "core/ordered_dispatch.h"
 #include "sim/ooo/ooo_core.h"
@@ -11,14 +10,74 @@
 
 namespace usca::core {
 
-acquisition_campaign::acquisition_campaign(sim::program_image image,
-                                           acquisition_config config)
+namespace {
+
+/// Activity recording both core kinds are built with: none for pure
+/// timing acquisitions, up to the window's end mark for marker windows
+/// (activity past it can never land inside the window, so recording it
+/// would only burn time and memory), the whole run otherwise.
+template <typename Core>
+void configure_recording(Core& core, const acquisition_config& config) {
+  if (!config.synthesize) {
+    core.set_record_activity(false);
+  } else if (!config.full_run_window) {
+    core.set_activity_cutoff_mark(config.window.end_mark);
+  }
+}
+
+[[noreturn]] void throw_window_not_found() {
+  throw util::analysis_error(
+      "acquisition window marks not found (or empty window) in the "
+      "simulated program");
+}
+
+} // namespace
+
+bool find_campaign_window(const std::vector<sim::mark_stamp>& marks,
+                          const campaign_window& window, std::uint64_t& begin,
+                          std::uint64_t& end) noexcept {
+  bool begin_seen = false;
+  bool end_seen = false;
+  for (const auto& m : marks) {
+    if (!begin_seen && m.id == window.begin_mark) {
+      begin = m.cycle;
+      begin_seen = true;
+    } else if (!end_seen && m.id == window.end_mark) {
+      end = m.cycle;
+      end_seen = true;
+    }
+  }
+  return begin_seen && end_seen && end > begin;
+}
+
+std::uint64_t acquisition_campaign::trace_seed(std::uint64_t campaign_seed,
+                                               std::size_t index) noexcept {
+  // One splitmix64 step over a golden-ratio-strided state decorrelates
+  // neighbouring indices and neighbouring campaign seeds alike.
+  std::uint64_t state = campaign_seed +
+                        0x9e3779b97f4a7c15ULL *
+                            (static_cast<std::uint64_t>(index) + 1);
+  return util::splitmix64(state);
+}
+
+acquisition_campaign::acquisition_campaign(
+    sim::program_image image, acquisition_config config,
+    std::shared_ptr<const power::second_core_noise> second_core)
     : image_(std::move(image)), config_(config),
+      second_core_(std::move(second_core)),
       setup_([](std::size_t, util::xoshiro256&, sim::backend&,
                 std::vector<double>&) {}) {}
 
 void acquisition_campaign::set_setup(setup_fn setup) {
   setup_ = std::move(setup);
+}
+
+acquisition_campaign acquisition_campaign::slice(std::size_t first_index,
+                                                 std::size_t traces) const {
+  acquisition_campaign sub = *this;
+  sub.config_.first_index = first_index;
+  sub.config_.traces = traces;
+  return sub;
 }
 
 unsigned acquisition_campaign::resolved_threads() const noexcept {
@@ -28,12 +87,36 @@ unsigned acquisition_campaign::resolved_threads() const noexcept {
 std::unique_ptr<sim::backend> acquisition_campaign::make_backend() const {
   std::unique_ptr<sim::backend> core =
       sim::make_backend(config_.backend, image_, config_.uarch);
-  if (!config_.synthesize) {
-    core->set_record_activity(false);
-  } else if (!config_.full_run_window) {
-    core->set_activity_cutoff_mark(config_.window.end_mark);
-  }
+  configure_recording(*core, config_);
   return core;
+}
+
+power::trace_synthesizer acquisition_campaign::make_synthesizer() const {
+  power::trace_synthesizer synth(config_.power, 0);
+  if (second_core_) {
+    synth.attach_second_core(second_core_);
+  }
+  return synth;
+}
+
+void acquisition_campaign::synthesize_into(
+    const sim::activity_trace& activity, power::trace_synthesizer& synth,
+    std::uint64_t synthesis_seed, acquisition_record& rec) const {
+  const auto begin = static_cast<std::uint32_t>(rec.window_begin);
+  const auto end = static_cast<std::uint32_t>(rec.window_end);
+  if (rec.index < config_.keep_activity_first) {
+    rec.window_activity.clear();
+    for (const sim::activity_event& ev : activity) {
+      if (ev.cycle >= begin && ev.cycle < end) {
+        rec.window_activity.push_back(ev);
+      }
+    }
+  }
+  synth.reseed(synthesis_seed);
+  rec.samples = config_.averaging > 1
+                    ? synth.synthesize_averaged(activity, begin, end,
+                                                config_.averaging)
+                    : synth.synthesize(activity, begin, end);
 }
 
 void acquisition_campaign::produce_into(sim::backend& core,
@@ -41,9 +124,10 @@ void acquisition_campaign::produce_into(sim::backend& core,
                                         std::size_t index,
                                         acquisition_record& rec) const {
   TELEM_SPAN("campaign.trace");
-  // Same derivation as trace_campaign: one private stream for the trial's
-  // inputs, one for its measurement noise.
-  std::uint64_t stream = trace_campaign::trace_seed(config_.seed, index);
+  // Everything random about trial `index` derives from its per-index
+  // seed: one private stream for the trial's inputs, one for its
+  // measurement noise (and second-core phase).
+  std::uint64_t stream = trace_seed(config_.seed, index);
   const std::uint64_t setup_seed = util::splitmix64(stream);
   const std::uint64_t synthesis_seed = util::splitmix64(stream);
 
@@ -67,29 +151,12 @@ void acquisition_campaign::produce_into(sim::backend& core,
     rec.window_end = core.cycles() + config_.full_run_tail_pad;
   } else if (!find_campaign_window(rec.marks, config_.window,
                                    rec.window_begin, rec.window_end)) {
-    throw util::analysis_error(
-        "acquisition window marks not found (or empty window) in the "
-        "simulated program");
+    throw_window_not_found();
   }
 
-  if (!config_.synthesize) {
-    return;
+  if (config_.synthesize) {
+    synthesize_into(core.activity(), synth, synthesis_seed, rec);
   }
-  const auto begin = static_cast<std::uint32_t>(rec.window_begin);
-  const auto end = static_cast<std::uint32_t>(rec.window_end);
-  if (index < config_.keep_activity_first) {
-    rec.window_activity.clear();
-    for (const sim::activity_event& ev : core.activity()) {
-      if (ev.cycle >= begin && ev.cycle < end) {
-        rec.window_activity.push_back(ev);
-      }
-    }
-  }
-  synth.reseed(synthesis_seed);
-  rec.samples = config_.averaging > 1
-                    ? synth.synthesize_averaged(core.activity(), begin, end,
-                                                config_.averaging)
-                    : synth.synthesize(core.activity(), begin, end);
 }
 
 std::size_t acquisition_campaign::batch_lanes() const {
@@ -97,8 +164,9 @@ std::size_t acquisition_campaign::batch_lanes() const {
       (config_.uarch.ooo.scheduler != sim::ooo_scheduler::fast ||
        sim::ooo_reference_forced() ||
        sim::speculation_active(config_.uarch))) {
-    // Neither the reference scheduler nor a speculating core (per-lane
-    // wrong paths) has a batched counterpart.
+    // The reference scheduler exists as the differential oracle and has
+    // no batched counterpart; a speculating core's per-lane wrong paths
+    // have none either.  Run both on the per-trace path.
     return 0;
   }
   std::size_t lanes = sim::resolve_sim_batch_lanes(config_.sim_batch_lanes);
@@ -112,11 +180,7 @@ std::unique_ptr<sim::batch_backend> acquisition_campaign::make_batch_backend(
     std::size_t lanes) const {
   std::unique_ptr<sim::batch_backend> batch =
       sim::make_batch_backend(config_.backend, image_, config_.uarch, lanes);
-  if (!config_.synthesize) {
-    batch->set_record_activity(false);
-  } else if (!config_.full_run_window) {
-    batch->set_activity_cutoff_mark(config_.window.end_mark);
-  }
+  configure_recording(*batch, config_);
   return batch;
 }
 
@@ -134,7 +198,7 @@ void acquisition_campaign::produce_batch_into(
   std::array<std::uint64_t, sim::max_batch_lanes> synthesis_seeds{};
   for (std::size_t l = 0; l < count; ++l) {
     const std::size_t index = first_index + l;
-    std::uint64_t stream = trace_campaign::trace_seed(config_.seed, index);
+    std::uint64_t stream = trace_seed(config_.seed, index);
     const std::uint64_t setup_seed = util::splitmix64(stream);
     synthesis_seeds[l] = util::splitmix64(stream);
 
@@ -175,9 +239,7 @@ void acquisition_campaign::produce_batch_into(
       continue;
     }
     if (!window_found) {
-      throw util::analysis_error(
-          "acquisition window marks not found (or empty window) in the "
-          "simulated program");
+      throw_window_not_found();
     }
     acquisition_record& rec = recs[l];
     rec.cycles = batch.cycles();
@@ -188,30 +250,15 @@ void acquisition_campaign::produce_batch_into(
     traces.add();
     cycles.add(rec.cycles);
 
-    if (!config_.synthesize) {
-      continue;
+    if (config_.synthesize) {
+      synthesize_into(batch.activity(l), synth, synthesis_seeds[l], rec);
     }
-    const auto begin = static_cast<std::uint32_t>(window_begin);
-    const auto end = static_cast<std::uint32_t>(window_end);
-    if (rec.index < config_.keep_activity_first) {
-      rec.window_activity.clear();
-      for (const sim::activity_event& ev : batch.activity(l)) {
-        if (ev.cycle >= begin && ev.cycle < end) {
-          rec.window_activity.push_back(ev);
-        }
-      }
-    }
-    synth.reseed(synthesis_seeds[l]);
-    rec.samples = config_.averaging > 1
-                      ? synth.synthesize_averaged(batch.activity(l), begin,
-                                                  end, config_.averaging)
-                      : synth.synthesize(batch.activity(l), begin, end);
   }
 }
 
 acquisition_record acquisition_campaign::produce(std::size_t index) const {
   std::unique_ptr<sim::backend> core = make_backend();
-  power::trace_synthesizer synth(config_.power, 0);
+  power::trace_synthesizer synth = make_synthesizer();
   acquisition_record rec;
   produce_into(*core, synth, index, rec);
   return rec;
@@ -239,6 +286,10 @@ void acquisition_campaign::run(const sink_fn& sink) {
   const std::size_t lanes = batch_lanes();
 
   if (lanes == 0) {
+    // Per-trace reference path.  Each worker owns one backend and one
+    // synthesizer for its whole shard; per trial only reset() (no
+    // reallocation) and reseed() separate it from a freshly constructed
+    // pair, which the reset-equivalence tests pin as bit-identical.
     struct worker_context {
       std::unique_ptr<sim::backend> core;
       power::trace_synthesizer synth;
@@ -247,8 +298,7 @@ void acquisition_campaign::run(const sink_fn& sink) {
     ordered_parallel_produce(
         config_.traces, resolved_threads(),
         [this](unsigned) {
-          return worker_context{make_backend(),
-                                power::trace_synthesizer(config_.power, 0)};
+          return worker_context{make_backend(), make_synthesizer()};
         },
         [this, first](worker_context& ctx, std::size_t i) {
           ctx.core->reset();
@@ -261,7 +311,8 @@ void acquisition_campaign::run(const sink_fn& sink) {
   }
 
   // Batched path: groups of `lanes` consecutive trials per batch run,
-  // unrolled in index order — same records, same order as per-trace.
+  // claimed by the workers, reordered, and unrolled in index order on
+  // this thread — same records, same order as per-trace.
   const std::size_t groups = (config_.traces + lanes - 1) / lanes;
   struct batch_worker_context {
     std::unique_ptr<sim::batch_backend> batch;
@@ -273,8 +324,7 @@ void acquisition_campaign::run(const sink_fn& sink) {
       groups, resolved_worker_count(config_.threads, groups),
       [this, lanes](unsigned) {
         return batch_worker_context{make_batch_backend(lanes), nullptr,
-                                    power::trace_synthesizer(config_.power,
-                                                             0)};
+                                    make_synthesizer()};
       },
       [this, first, lanes](batch_worker_context& ctx, std::size_t g) {
         const std::size_t begin = g * lanes;

@@ -1,15 +1,31 @@
-// Generic parallel acquisition engine.
+// The parallel acquisition engine.
 //
-// trace_campaign is specialized for the generated AES program; every other
-// experiment in the repository (the Table-2 leakage characterization, the
-// micro-architectural ablations, the portability study) used to hand-roll
-// the same loop: build a program, randomize inputs per trial, simulate,
-// synthesize a power trace, accumulate.  This engine is that loop as a
-// service: caller supplies the shared program image and a per-index setup
-// callback; the engine owns one resettable pipeline + synthesizer per
-// worker, shards the trials, and delivers records to the sink in strict
-// index order — inheriting the campaign determinism contract (per-index
-// seeding, bit-identical results at any thread count, prefix property).
+// Every experiment in the repository runs the same inner loop: randomize
+// one trial's inputs, simulate the program on a core model, synthesize a
+// power trace of a marker-delimited window, and stream the trace into a
+// statistical accumulator.  The paper's campaigns run to 100k traces, so
+// this loop is the wall-clock bottleneck of the whole reproduction.  This
+// engine is that loop, once: the caller supplies the shared program image
+// and a per-index setup callback; the engine owns one resettable core +
+// synthesizer per worker (or one batched core simulating up to 64 trials
+// in lockstep), shards the trials, and delivers records to the sink in
+// strict index order.  The AES attack campaign (core/campaign.h) is one
+// such setup: it installs the key schedule and a plaintext per trial.
+//
+// Determinism guarantee:
+//
+//  * Every trial is seeded independently from (master seed, index) via
+//    splitmix64, so record i is bit-identical no matter which worker
+//    produces it, how many workers exist, how the scheduler interleaves
+//    them, or whether it ran per-trace or as a lane of any batch.
+//  * Completed records are re-ordered and delivered in strict index order
+//    on the calling thread, so floating-point accumulation order — and
+//    with it every downstream statistic — is fixed at any thread count.
+//
+// The per-index seeding also gives campaigns the prefix property: the
+// first N records of a longer campaign equal the N records of a shorter
+// one with the same seed, and disjoint [first_index, first_index+traces)
+// ranges extend a campaign without re-simulating its prefix.
 #ifndef USCA_CORE_ACQUISITION_H
 #define USCA_CORE_ACQUISITION_H
 
@@ -18,8 +34,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/campaign.h"
 #include "core/trace_stream.h"
+#include "crypto/aes_codegen.h"
+#include "power/second_core.h"
 #include "power/synthesizer.h"
 #include "sim/backend.h"
 #include "sim/batch_sim.h"
@@ -28,6 +45,22 @@
 #include "util/rng.h"
 
 namespace usca::core {
+
+/// Marker-delimited acquisition window: the synthesized trace covers the
+/// cycles from `begin_mark` (inclusive) to `end_mark` (exclusive).
+struct campaign_window {
+  std::uint16_t begin_mark = crypto::mark_encrypt_begin;
+  std::uint16_t end_mark = crypto::mark_round1_end;
+};
+
+/// Window lookup over a run's marks.  Binds to the FIRST occurrence of
+/// each mark id — the same occurrence at which the backend's activity
+/// cutoff disarms recording — so a program that issues its end-mark id
+/// repeatedly cannot end up with a silently unrecorded window tail.
+/// Returns false when either mark is missing or the window is empty.
+bool find_campaign_window(const std::vector<sim::mark_stamp>& marks,
+                          const campaign_window& window, std::uint64_t& begin,
+                          std::uint64_t& end) noexcept;
 
 struct acquisition_config {
   std::size_t traces = 0;      ///< number of acquisitions
@@ -51,11 +84,13 @@ struct acquisition_config {
   sim::micro_arch_config uarch = sim::cortex_a7();
   /// Core model the trials run on (in-order pipeline or OoO backend).
   sim::backend_kind backend = sim::backend_kind::inorder;
-  /// Batched-simulation width, same semantics as
-  /// campaign_config::sim_batch_lanes: -1 = default, 0 = per-trace,
-  /// 1..64 = lanes; USCA_SIM_BATCH overrides.  Trials whose data-dependent
-  /// timing diverges from their batch are ejected and transparently
-  /// re-simulated per-trace, so results are bit-identical either way.
+  /// Batched-simulation width (sim/batch_sim.h): -1 selects the default
+  /// lane count, 0 forces the per-trace path, 1..64 batches that many
+  /// trials per run.  USCA_SIM_BATCH, when set, overrides this field
+  /// (USCA_SIM_BATCH=0 reverts every campaign to the per-trace reference
+  /// path).  Trials whose data-dependent timing diverges from their batch
+  /// are ejected and transparently re-simulated per-trace, so results
+  /// are bit-identical at every lane count.
   int sim_batch_lanes = -1;
 };
 
@@ -90,9 +125,21 @@ public:
   /// called run().
   using sink_fn = std::function<void(acquisition_record&&)>;
 
-  acquisition_campaign(sim::program_image image, acquisition_config config);
+  /// `second_core`, when given, is the simulated interfering core (the
+  /// Figure-4 dual-core environment) attached to every worker's
+  /// synthesizer; it is shared read-only and only its window phase is
+  /// drawn per trial, from the trial's synthesis stream.
+  acquisition_campaign(
+      sim::program_image image, acquisition_config config,
+      std::shared_ptr<const power::second_core_noise> second_core = nullptr);
 
   void set_setup(setup_fn setup);
+
+  /// This campaign restricted to [first_index, first_index + traces):
+  /// same image, setup and interferer, so by the prefix property its
+  /// records equal the full campaign's at those indices.
+  acquisition_campaign slice(std::size_t first_index,
+                             std::size_t traces) const;
 
   /// Acquires all records and streams them into `sink`.  Worker and sink
   /// exceptions abort the campaign and rethrow here.
@@ -112,13 +159,28 @@ public:
 
   const acquisition_config& config() const noexcept { return config_; }
 
+  /// Per-trial seed derivation (exposed so tests can pin the scheme; the
+  /// scheme is load-bearing for reproducibility of archived results).
+  static std::uint64_t trace_seed(std::uint64_t campaign_seed,
+                                  std::size_t index) noexcept;
+
 private:
   std::unique_ptr<sim::backend> make_backend() const;
+  power::trace_synthesizer make_synthesizer() const;
   void produce_into(sim::backend& core, power::trace_synthesizer& synth,
                     std::size_t index, acquisition_record& rec) const;
+  /// Fills rec.samples (and rec.window_activity below
+  /// keep_activity_first) from a finished run's activity over the
+  /// record's window — the tail both produce paths share.
+  void synthesize_into(const sim::activity_trace& activity,
+                       power::trace_synthesizer& synth,
+                       std::uint64_t synthesis_seed,
+                       acquisition_record& rec) const;
 
-  /// Lane count run() batches with (0 = per-trace path); see
-  /// trace_campaign::batch_lanes for the resolution rules.
+  /// Lane count run() batches with: 0 selects the per-trace path
+  /// (batching disabled via config/env, or an OoO core without a batched
+  /// counterpart), otherwise the resolved width clamped to the trace
+  /// count.
   std::size_t batch_lanes() const;
   std::unique_ptr<sim::batch_backend> make_batch_backend(
       std::size_t lanes) const;
@@ -134,6 +196,7 @@ private:
 
   sim::program_image image_;
   acquisition_config config_;
+  std::shared_ptr<const power::second_core_noise> second_core_;
   setup_fn setup_;
 };
 

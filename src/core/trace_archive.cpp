@@ -1,6 +1,5 @@
 #include "core/trace_archive.h"
 
-#include <array>
 #include <bit>
 
 #include "util/failpoint.h"
@@ -142,24 +141,26 @@ aes_campaign_config_hash(const campaign_config& config,
   return h.value();
 }
 
-archive_result
-archive_acquisition(const sim::program_image& image,
-                    const acquisition_config& config,
-                    const acquisition_campaign::setup_fn& setup,
-                    const std::string& path,
-                    const archive_options& options) {
+namespace {
+
+/// The body both archive entry points share: probe one record for the
+/// shape, create-or-resume the store under `config_hash`, simulate the
+/// missing suffix of the campaign's range, append.
+archive_result archive_campaign(const acquisition_campaign& campaign,
+                                std::uint64_t config_hash,
+                                const std::string& path,
+                                const archive_options& options) {
+  const acquisition_config& config = campaign.config();
   const std::size_t end = config.first_index + config.traces;
 
   power::trace_store_descriptor desc;
   desc.seed = config.seed;
-  desc.config_hash = acquisition_config_hash(config);
+  desc.config_hash = config_hash;
   desc.first_index = config.first_index;
   {
     // One probe record fixes the shape so a resume can validate the
     // existing header before any simulation is spent on the suffix.
-    acquisition_campaign probe(image, config);
-    probe.set_setup(setup);
-    const acquisition_record rec = probe.produce(config.first_index);
+    const acquisition_record rec = campaign.produce(config.first_index);
     desc.samples = rec.samples.size();
     desc.labels = static_cast<std::uint32_t>(rec.labels.size());
   }
@@ -169,19 +170,14 @@ archive_acquisition(const sim::program_image& image,
       open_archive(path, desc, options, result);
   const std::size_t next = writer.next_index();
   if (next < end) {
-    acquisition_config sub = config;
-    sub.first_index = next;
-    sub.traces = end - next;
-    sub.keep_activity_first = 0;
-    acquisition_campaign campaign(image, sub);
-    campaign.set_setup(setup);
     static const telem::counter records{"archive.records", "records",
                                         "archive"};
-    campaign.run([&writer](acquisition_record&& rec) {
-      util::failpoint("archive_record");
-      writer.append(rec.labels, rec.samples);
-      records.add();
-    });
+    campaign.slice(next, end - next).run(
+        [&writer](acquisition_record&& rec) {
+          util::failpoint("archive_record");
+          writer.append(rec.labels, rec.samples);
+          records.add();
+        });
     result.simulated = end - next;
   }
   writer.close();
@@ -189,53 +185,34 @@ archive_acquisition(const sim::program_image& image,
   return result;
 }
 
+} // namespace
+
+archive_result
+archive_acquisition(const sim::program_image& image,
+                    const acquisition_config& config,
+                    const acquisition_campaign::setup_fn& setup,
+                    const std::string& path,
+                    const archive_options& options) {
+  // Window activity is never archived; don't keep it.
+  acquisition_config unkept = config;
+  unkept.keep_activity_first = 0;
+  acquisition_campaign campaign(image, unkept);
+  campaign.set_setup(setup);
+  return archive_campaign(campaign, acquisition_config_hash(config), path,
+                          options);
+}
+
 archive_result
 archive_aes_campaign(const campaign_config& config, const crypto::aes_key& key,
                      const std::string& path, const archive_options& options,
                      const trace_campaign::plaintext_fn& plaintext) {
-  const std::size_t end = config.first_index + config.traces;
-
-  power::trace_store_descriptor desc;
-  desc.seed = config.seed;
-  desc.config_hash = aes_campaign_config_hash(config, key);
-  desc.first_index = config.first_index;
-  desc.labels = std::tuple_size_v<crypto::aes_block>;
-  {
-    trace_campaign probe(config, key);
-    if (plaintext) {
-      probe.set_plaintext_policy(plaintext);
-    }
-    desc.samples = probe.produce(config.first_index).samples.size();
+  trace_campaign campaign(config, key);
+  if (plaintext) {
+    campaign.set_plaintext_policy(plaintext);
   }
-
-  archive_result result;
-  power::trace_store_writer writer =
-      open_archive(path, desc, options, result);
-  const std::size_t next = writer.next_index();
-  if (next < end) {
-    campaign_config sub = config;
-    sub.first_index = next;
-    sub.traces = end - next;
-    trace_campaign campaign(sub, key);
-    if (plaintext) {
-      campaign.set_plaintext_policy(plaintext);
-    }
-    static const telem::counter records{"archive.records", "records",
-                                        "archive"};
-    std::array<double, std::tuple_size_v<crypto::aes_block>> labels;
-    campaign.run([&writer, &labels](trace_record&& rec) {
-      util::failpoint("archive_record");
-      for (std::size_t b = 0; b < labels.size(); ++b) {
-        labels[b] = static_cast<double>(rec.plaintext[b]);
-      }
-      writer.append(labels, rec.samples);
-      records.add();
-    });
-    result.simulated = end - next;
-  }
-  writer.close();
-  result.total = writer.records();
-  return result;
+  return archive_campaign(campaign.engine(),
+                          aes_campaign_config_hash(config, key), path,
+                          options);
 }
 
 } // namespace usca::core

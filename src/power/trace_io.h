@@ -1,5 +1,5 @@
-// Trace persistence: the chunked binary trace store plus legacy matrix
-// and CSV export helpers.
+// Trace persistence: the chunked binary trace store plus the CSV row
+// formatter behind export_csv (power/trace_store_reader.h).
 //
 // The paper's methodology is simulate-once, analyse-many: the Figure-3/4
 // CPA sweeps, the Table-2 attribution and the TVLA assessment all consume
@@ -42,8 +42,8 @@
 // trailing short chunk and any torn bytes, and appending the re-simulated
 // records reproduces the uninterrupted file byte for byte.
 //
-// The version-1 whole-matrix format (save_traces/load_traces) and the
-// CSV export are kept for small one-shot dumps and external plotting.
+// The store is the only binary trace format; for external plotting an
+// archive streams out as CSV through export_csv(const trace_store_reader&).
 #ifndef USCA_POWER_TRACE_IO_H
 #define USCA_POWER_TRACE_IO_H
 
@@ -175,17 +175,7 @@ private:
   std::vector<unsigned char> chunk_buf_;
 };
 
-// --------------------------------------------------- legacy v1 + CSV
-
-/// Writes a trace matrix (v1 whole-matrix format); throws
-/// util::analysis_error on I/O failure.
-void save_traces(const trace_matrix& traces, std::ostream& out);
-void save_traces(const trace_matrix& traces, const std::string& path);
-
-/// Reads a v1 trace matrix; throws util::analysis_error on a malformed
-/// file.
-trace_matrix load_traces(std::istream& in);
-trace_matrix load_traces(const std::string& path);
+// ---------------------------------------------------------------- CSV
 
 /// Formats one trace as a CSV row (comma-separated samples + newline)
 /// into a caller-reused line buffer and writes it — the streaming unit
@@ -193,9 +183,6 @@ trace_matrix load_traces(const std::string& path);
 /// matrix (or a full matrix string) in memory.
 void export_csv_row(std::span<const double> samples, std::string& line,
                     std::ostream& out);
-
-/// CSV export of an in-memory matrix, streamed row by row.
-void export_csv(const trace_matrix& traces, std::ostream& out);
 
 } // namespace usca::power
 

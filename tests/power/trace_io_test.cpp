@@ -1,79 +1,64 @@
+// Tests for the CSV export of an archived trace store: one row per trace
+// in index order, every value formatted shortest-round-trip.
 #include "power/trace_io.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
-#include "util/error.h"
+#include "power/trace_store_reader.h"
 #include "util/rng.h"
 
 namespace usca::power {
 namespace {
 
-trace_matrix sample_matrix() {
-  trace_matrix m(3, 5);
+constexpr std::size_t kTraces = 3;
+constexpr std::size_t kSamples = 5;
+
+/// The samples of a 3x5 f64 store; chunks of two traces, so the export
+/// crosses a chunk boundary and ends on a short chunk.
+std::vector<std::vector<double>> sample_rows() {
   util::xoshiro256 rng(9);
-  for (std::size_t i = 0; i < m.traces(); ++i) {
-    for (std::size_t s = 0; s < m.samples(); ++s) {
-      m.at(i, s) = rng.next_gaussian();
+  std::vector<std::vector<double>> rows(kTraces);
+  for (auto& row : rows) {
+    for (std::size_t s = 0; s < kSamples; ++s) {
+      row.push_back(rng.next_gaussian());
     }
   }
-  return m;
+  return rows;
 }
 
-TEST(TraceIo, BinaryRoundTrip) {
-  const trace_matrix original = sample_matrix();
-  std::stringstream buffer;
-  save_traces(original, buffer);
-  const trace_matrix loaded = load_traces(buffer);
-  ASSERT_EQ(loaded.traces(), original.traces());
-  ASSERT_EQ(loaded.samples(), original.samples());
-  for (std::size_t i = 0; i < original.traces(); ++i) {
-    for (std::size_t s = 0; s < original.samples(); ++s) {
-      EXPECT_EQ(loaded.at(i, s), original.at(i, s));
-    }
+/// Writes sample_rows() to a fresh store and returns its CSV export.
+std::string exported_csv(const char* name) {
+  const std::string path =
+      std::string("/tmp/usca_trace_io_test_") + name + ".trc";
+  std::remove(path.c_str());
+  trace_store_descriptor desc;
+  desc.labels = 1;
+  desc.chunk_traces = 2;
+  trace_store_writer writer = trace_store_writer::create(path, desc);
+  const std::vector<std::vector<double>> rows = sample_rows();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double label = static_cast<double>(i);
+    writer.append({&label, 1}, rows[i]);
   }
-}
+  writer.close();
 
-TEST(TraceIo, EmptyMatrixRoundTrips) {
-  trace_matrix empty;
-  std::stringstream buffer;
-  save_traces(empty, buffer);
-  const trace_matrix loaded = load_traces(buffer);
-  EXPECT_EQ(loaded.traces(), 0u);
-}
-
-TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream buffer;
-  buffer << "NOPE.......................";
-  EXPECT_THROW(load_traces(buffer), util::analysis_error);
-}
-
-TEST(TraceIo, RejectsTruncatedFile) {
-  const trace_matrix original = sample_matrix();
-  std::stringstream buffer;
-  save_traces(original, buffer);
-  const std::string full = buffer.str();
-  std::stringstream truncated(full.substr(0, full.size() - 9));
-  EXPECT_THROW(load_traces(truncated), util::analysis_error);
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  const trace_matrix original = sample_matrix();
-  const std::string path = "/tmp/usca_trace_io_test.bin";
-  save_traces(original, path);
-  const trace_matrix loaded = load_traces(path);
-  EXPECT_EQ(loaded.at(2, 4), original.at(2, 4));
-}
-
-TEST(TraceIo, MissingFileThrows) {
-  EXPECT_THROW(load_traces("/nonexistent/usca.bin"), util::analysis_error);
+  std::stringstream out;
+  {
+    const trace_store_reader reader(path);
+    export_csv(reader, out);
+  }
+  std::remove(path.c_str());
+  return out.str();
 }
 
 TEST(TraceIo, CsvExportShape) {
-  const trace_matrix m = sample_matrix();
-  std::stringstream out;
-  export_csv(m, out);
+  std::stringstream out(exported_csv("shape"));
   std::string line;
   int lines = 0;
   while (std::getline(out, line)) {
@@ -84,25 +69,26 @@ TEST(TraceIo, CsvExportShape) {
 }
 
 TEST(TraceIo, CsvRowsRoundTripShortestRepresentation) {
-  const trace_matrix m = sample_matrix();
-  std::stringstream out;
-  export_csv(m, out);
+  const std::vector<std::vector<double>> rows = sample_rows();
+  std::stringstream out(exported_csv("round_trip"));
   // Every exported value parses back to the exact double (std::to_chars
   // shortest-round-trip formatting).
   std::string line;
   std::size_t row = 0;
   while (std::getline(out, line)) {
+    ASSERT_LT(row, rows.size());
     std::stringstream cells(line);
     std::string cell;
     std::size_t col = 0;
     while (std::getline(cells, cell, ',')) {
-      EXPECT_EQ(std::stod(cell), m.at(row, col));
+      ASSERT_LT(col, kSamples);
+      EXPECT_EQ(std::stod(cell), rows[row][col]);
       ++col;
     }
-    EXPECT_EQ(col, m.samples());
+    EXPECT_EQ(col, kSamples);
     ++row;
   }
-  EXPECT_EQ(row, m.traces());
+  EXPECT_EQ(row, kTraces);
 }
 
 } // namespace
