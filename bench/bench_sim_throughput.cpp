@@ -190,7 +190,8 @@ struct hot_path_report {
   std::size_t sim_batch_lanes = 0;
   double sim_batched_seconds = 0.0;
   double sim_batched_traces_per_sec = 0.0;
-  // Same campaign on the out-of-order backend (sim::ooo_core).
+  // Same campaign on the out-of-order backend, per-trace: sim::ooo_core,
+  // the 1-lane face of the production engine sim::batch_ooo_core.
   std::size_t ooo_samples_per_trace = 0;
   double ooo_seconds = 0.0;
   double ooo_traces_per_sec = 0.0;
@@ -198,20 +199,21 @@ struct hot_path_report {
   double ooo_sim_batched_seconds = 0.0;
   double ooo_sim_batched_traces_per_sec = 0.0;
   // Same OoO campaign forced onto the reference scan scheduler
-  // (sim::ooo_scheduler::reference).  The fast/reference ratio is a
+  // (sim::ooo_scheduler::reference, i.e. the oracle
+  // sim::ooo_reference_core).  The fast/reference ratio is a
   // machine-independent speedup measurement — both numbers come from the
   // same run on the same hardware — so CI can assert a hard floor on it
   // where an absolute traces/sec threshold would be hostage to runner
   // noise.
   double ooo_reference_seconds = 0.0;
   double ooo_reference_traces_per_sec = 0.0;
-  // Same OoO campaign with the speculation front end enabled (bimodal
-  // predictor + BTB + RSB, sim/ooo/speculation.h).  Speculating configs
-  // have no batched counterpart — the campaign transparently falls back
-  // to per-trace lanes — so this number prices the whole subsystem:
-  // predictor/BTB lookups, checkpointing, and (on victims with
-  // conditional branches) wrong-path rename and recovery.  The ratio
-  // against ooo_traces_per_sec is same-run, same-hardware.
+  // Same per-trace OoO campaign with the speculation front end enabled
+  // (bimodal predictor + BTB + RSB, sim/ooo/speculation.h), so this
+  // number prices the whole subsystem: predictor/BTB lookups,
+  // checkpointing, and (on victims with conditional branches) wrong-path
+  // rename and recovery.  The ratio against ooo_traces_per_sec is
+  // same-run, same-hardware, same engine (speculating campaigns batch
+  // like any other; both numbers here are per-trace on purpose).
   double ooo_spec_seconds = 0.0;
   double ooo_spec_traces_per_sec = 0.0;
   double cpa_accumulate_ns_per_sample = 0.0;
@@ -369,10 +371,9 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
   report.ooo_reference_traces_per_sec =
       static_cast<double>(report.traces) / report.ooo_reference_seconds;
 
-  // Speculative OoO: fast scheduler again, bimodal front end on.  The
-  // campaign detects the speculating config and runs per-trace (the
-  // batch core rejects speculation), so this measures the full
-  // subsystem cost on the production acquisition path.
+  // Speculative OoO: production engine again, bimodal front end on, still
+  // per-trace (sim_batch_lanes = 0 above) so that the ratio against
+  // ooo_traces_per_sec isolates the subsystem's cost.
   config.uarch = sim::cortex_a7_ooo_spec(
       sim::speculation_config{.predictor = sim::predictor_kind::bimodal});
   core::trace_campaign ooo_spec_campaign(config, key);

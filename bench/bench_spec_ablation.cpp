@@ -23,8 +23,9 @@
 // Metrics per design point, following bench_ooo_ablation: CPA
 // measurements-to-disclosure (key byte 0, HW(SubBytes-out), Fisher-z >
 // 2.326) on prefixes of one acquired matrix; full-key recovery; TVLA
-// fixed-vs-random max |t|.  Speculating configs have no batched
-// counterpart — the campaign transparently runs them per-trace.
+// fixed-vs-random max |t|.  Speculating configs batch like any other;
+// lanes whose secret-dependent branches diverge from their batch are
+// ejected and redone per-trace, so the numbers match a per-trace run.
 //
 // Defaults: max_traces=1200, tvla_traces=800, averaging=4.
 #include <algorithm>

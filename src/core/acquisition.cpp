@@ -161,12 +161,9 @@ void acquisition_campaign::produce_into(sim::backend& core,
 
 std::size_t acquisition_campaign::batch_lanes() const {
   if (config_.backend == sim::backend_kind::ooo &&
-      (config_.uarch.ooo.scheduler != sim::ooo_scheduler::fast ||
-       sim::ooo_reference_forced() ||
-       sim::speculation_active(config_.uarch))) {
+      sim::ooo_reference_selected(config_.uarch)) {
     // The reference scheduler exists as the differential oracle and has
-    // no batched counterpart; a speculating core's per-lane wrong paths
-    // have none either.  Run both on the per-trace path.
+    // no batched counterpart: it runs on the per-trace path.
     return 0;
   }
   std::size_t lanes = sim::resolve_sim_batch_lanes(config_.sim_batch_lanes);
@@ -223,12 +220,15 @@ void acquisition_campaign::produce_batch_into(
 
   static const telem::counter traces{"campaign.traces", "traces", "campaign"};
   static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
+  static const telem::counter fallbacks{"campaign.lane_fallbacks", "traces",
+                                        "campaign"};
 
   for (std::size_t l = 0; l < count; ++l) {
     if (batch.lane_diverged(l)) {
       // Data-dependent timing left the shared schedule; redo this trial
-      // on the per-trace reference core (labels included: the record is
-      // rebuilt from scratch so the setup callback runs exactly once).
+      // on a per-trace core (labels included: the record is rebuilt from
+      // scratch so the setup callback runs exactly once).
+      fallbacks.add();
       if (!fallback) {
         fallback = make_backend();
       } else {

@@ -87,10 +87,10 @@ struct acquisition_config {
   /// Batched-simulation width (sim/batch_sim.h): -1 selects the default
   /// lane count, 0 forces the per-trace path, 1..64 batches that many
   /// trials per run.  USCA_SIM_BATCH, when set, overrides this field
-  /// (USCA_SIM_BATCH=0 reverts every campaign to the per-trace reference
-  /// path).  Trials whose data-dependent timing diverges from their batch
-  /// are ejected and transparently re-simulated per-trace, so results
-  /// are bit-identical at every lane count.
+  /// (USCA_SIM_BATCH=0 reverts every campaign to the per-trace path).
+  /// Trials whose data-dependent timing diverges from their batch are
+  /// ejected and transparently re-simulated per-trace, so results are
+  /// bit-identical at every lane count.
   int sim_batch_lanes = -1;
 };
 
@@ -178,9 +178,9 @@ private:
                        acquisition_record& rec) const;
 
   /// Lane count run() batches with: 0 selects the per-trace path
-  /// (batching disabled via config/env, or an OoO core without a batched
-  /// counterpart), otherwise the resolved width clamped to the trace
-  /// count.
+  /// (batching disabled via config/env, or the OoO reference scheduler,
+  /// which has no batched counterpart), otherwise the resolved width
+  /// clamped to the trace count.
   std::size_t batch_lanes() const;
   std::unique_ptr<sim::batch_backend> make_batch_backend(
       std::size_t lanes) const;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sim/ooo/ooo_core.h"
+#include "sim/ooo/ooo_reference_core.h"
 #include "sim/pipeline.h"
 #include "util/bitops.h"
 
@@ -34,6 +35,9 @@ std::unique_ptr<backend> make_backend(backend_kind kind, program_image image,
   case backend_kind::inorder:
     return std::make_unique<pipeline>(std::move(image), config);
   case backend_kind::ooo:
+    if (ooo_reference_selected(config)) {
+      return std::make_unique<ooo_reference_core>(std::move(image), config);
+    }
     return std::make_unique<ooo_core>(std::move(image), config);
   }
   return nullptr;

@@ -16,8 +16,11 @@
 //                is bit-identical in behaviour to a newly constructed one;
 //   * rebind() — swaps in a different shared program image and resets.
 //
-// Implementations: sim::pipeline (in-order, partial dual-issue) and
-// sim::ooo_core (out-of-order issue: rename/ROB/RS, sim/ooo/).
+// Implementations: sim::pipeline (in-order, partial dual-issue),
+// sim::ooo_core (out-of-order issue: rename/ROB/RS — the per-trace face
+// of the production engine sim::batch_ooo_core, sim/ooo/) and the OoO
+// oracle sim::ooo_reference_core, which make_backend() picks for the
+// reference scheduler.
 #ifndef USCA_SIM_BACKEND_H
 #define USCA_SIM_BACKEND_H
 

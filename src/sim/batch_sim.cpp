@@ -39,7 +39,8 @@ std::size_t parse_sim_batch_env(const char* value) {
 
 std::size_t resolve_sim_batch_lanes(int config_lanes) {
   // The environment, when set, wins: USCA_SIM_BATCH=0 is the no-rebuild
-  // escape hatch back to the per-trace reference path.
+  // switch to the per-trace path.  For OoO that compares lane counts of
+  // one engine; the independent check is USCA_OOO_REFERENCE=1.
   if (const char* env = std::getenv("USCA_SIM_BATCH");
       env != nullptr && env[0] != '\0') {
     return parse_sim_batch_env(env);

@@ -25,14 +25,17 @@
 //     disagree with the leader are ejected before their value influences
 //     any shared decision;
 //   * an ejected lane's per-lane state is frozen garbage from that point
-//     on; callers check lane_diverged() and redo those traces on the
-//     per-trace sim::backend, which remains the reference implementation.
+//     on; callers check lane_diverged() and redo those traces on a
+//     per-trace sim::backend.
 //
-// Implementations: sim::batch_pipeline (in-order; batch_pipeline.h) and
-// sim::batch_ooo_core (OoO fast scheduler; ooo/batch_ooo_core.h).  The
-// campaign/acquisition engines produce through this interface behind a
-// `sim_batch` knob (default on, USCA_SIM_BATCH=0 escape hatch) — see
-// core/campaign.h.
+// Implementations: sim::batch_pipeline (in-order; batch_pipeline.h, whose
+// per-trace counterpart sim::pipeline is a separate model) and
+// sim::batch_ooo_core (the one production OoO engine, speculation
+// included; ooo/batch_ooo_core.h — per-trace OoO runs use it with one
+// lane through sim::ooo_core, and the independent OoO check is the oracle
+// sim::ooo_reference_core).  The campaign/acquisition engines produce
+// through this interface behind a `sim_batch` knob (default on,
+// USCA_SIM_BATCH=0 selects the per-trace path) — see core/acquisition.h.
 #ifndef USCA_SIM_BATCH_SIM_H
 #define USCA_SIM_BATCH_SIM_H
 

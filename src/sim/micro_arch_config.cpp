@@ -1,5 +1,7 @@
 #include "sim/micro_arch_config.h"
 
+#include "util/error.h"
+
 namespace usca::sim {
 
 std::size_t pair_class_index(isa::issue_class cls) noexcept {
@@ -70,6 +72,52 @@ micro_arch_config cortex_a7_ooo(ooo_config ooo) noexcept {
   config.ooo = ooo;
   config.issue_width = ooo.rename_width;
   return config;
+}
+
+void validate_ooo_config(const micro_arch_config& config) {
+  const ooo_config& ooo = config.ooo;
+  if (ooo.rob_entries < 2 || ooo.rename_width < 1 || ooo.retire_width < 1 ||
+      ooo.rs_entries < 1 || ooo.cdb_width < 1 ||
+      ooo.store_buffer_entries < 1) {
+    throw util::simulation_error("ooo_config: widths/depths must be >= 1 "
+                                 "(rob_entries >= 2)");
+  }
+  // The lane-state arrays (RAT/CDB/tag-bus/retire ports) model 4 ports;
+  // wider configurations would silently alias lanes and corrupt the
+  // before/after Hamming distances.
+  if (ooo.rename_width > 4 || ooo.retire_width > 4 || ooo.cdb_width > 4) {
+    throw util::simulation_error(
+        "ooo_config: rename/retire/cdb width beyond the 4 modelled ports");
+  }
+  // The production scheduler tracks readiness in one 64-bit mask over an
+  // age-ordered ring indexed by seq mod 64; positions stay unique only
+  // while the in-flight window (bounded by the ROB) fits in 64 sequence
+  // numbers.  Enforced for the oracle too, so that a configuration's
+  // validity never depends on the implementation.
+  if (ooo.rob_entries > ooo_max_rob_entries ||
+      ooo.rs_entries > ooo_max_rs_entries) {
+    throw util::simulation_error(
+        "ooo_config: rob_entries/rs_entries beyond the 64-entry scheduler "
+        "sizing cap (ooo_max_rob_entries/ooo_max_rs_entries)");
+  }
+  if (ooo.prf_size <= isa::num_registers + 1 || ooo.prf_size > 255) {
+    throw util::simulation_error(
+        "ooo_config: prf_size must lie in (17, 255] — 16 architectural "
+        "mappings plus at least one rename target");
+  }
+  if (config.issue_width < 1) {
+    throw util::simulation_error("ooo backend requires issue_width >= 1");
+  }
+  const speculation_config spec = effective_speculation(config);
+  if (spec.predictor != predictor_kind::perfect) {
+    validate_speculation_config(spec);
+    if (!config.perfect_branch_prediction) {
+      throw util::simulation_error(
+          "speculation_config: a real predictor replaces the legacy "
+          "branch_mispredict_penalty model; leave "
+          "perfect_branch_prediction enabled");
+    }
+  }
 }
 
 micro_arch_config cortex_a7_ooo_spec(speculation_config spec,

@@ -56,10 +56,12 @@ enum class issue_policy : std::uint8_t {
 
 /// Scheduler implementation of the OoO backend.  Both produce bit-identical
 /// retirement order, architectural state and activity streams; `fast` is the
-/// production path, `reference` keeps the original per-cycle linear scans
-/// compiled in as the oracle for the differential equivalence suites
+/// production engine (sim::batch_ooo_core, whose 1-lane face sim::ooo_core
+/// serves per-trace runs), `reference` selects the oracle
+/// sim::ooo_reference_core — the original per-cycle linear scans, kept for
+/// the differential equivalence suites
 /// (tests/sim/ooo_equivalence_fuzz_test.cpp).  The USCA_OOO_REFERENCE
-/// environment variable (set non-"0") forces `reference` at construction —
+/// environment variable (set to "1") forces `reference` in make_backend —
 /// a whole-suite toggle that needs no rebuild.  Not part of the archive
 /// config hash: an implementation choice, not a design point.
 enum class ooo_scheduler : std::uint8_t {
@@ -67,7 +69,7 @@ enum class ooo_scheduler : std::uint8_t {
   reference, ///< per-cycle linear scans (the original implementation)
 };
 
-/// Hard sizing caps of the OoO backend.  The fast scheduler keeps one
+/// Hard sizing caps of the OoO backend.  The production scheduler keeps one
 /// 64-bit ready mask over an age-ordered ring indexed by `seq mod 64`; ring
 /// positions stay unique only while every in-flight µop lies inside a
 /// 64-sequence window, which the ROB capacity bounds.  Enforced for both
@@ -138,9 +140,7 @@ struct micro_arch_config {
   /// Front-end speculation of the OoO backend (sim/ooo/speculation.h).
   /// The default `perfect` predictor keeps the core bit-identical to the
   /// pre-speculation model; any other predictor sends mispredicted
-  /// fetches down the wrong path until a recovery flush.  Speculative
-  /// configs run per-trace only (the batched core rejects them and the
-  /// campaign layer falls back transparently).
+  /// fetches down the wrong path until a recovery flush.
   speculation_config speculation;
 };
 
@@ -159,6 +159,14 @@ micro_arch_config cortex_a7_scalar() noexcept;
 /// is the cross-design-point comparison the paper's portability argument
 /// calls for.
 micro_arch_config cortex_a7_ooo(ooo_config ooo = {}) noexcept;
+
+/// Structural validation of the OoO backend's configuration, shared by
+/// every OoO core (sim::batch_ooo_core, its per-trace face sim::ooo_core
+/// and the oracle sim::ooo_reference_core): widths/depths, the 64-entry
+/// sizing caps, the PRF range, issue_width, and — when the effective
+/// predictor speculates — the speculation block.  Throws
+/// util::simulation_error naming the offending field.
+void validate_ooo_config(const micro_arch_config& config);
 
 /// cortex_a7_ooo() with a speculating front end: the same issue engine
 /// behind the given predictor design point.  The scenario suite and the

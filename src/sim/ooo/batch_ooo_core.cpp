@@ -1,9 +1,9 @@
-// Lane-batched twin of ooo_core.cpp (fast scheduler).  Every emission
-// point and shared-control update corresponds 1:1 to a statement in
-// sim::ooo_core — same order, same cycle stamps — with per-trace scalar
-// values replaced by lane-major rows.  Keep the two files side by side
-// when editing: the per-lane activity stream of a surviving lane must
-// stay bit-identical to a per-trace run (ctest -L sim_batch).
+// The production OoO engine.  Every emission point corresponds 1:1 to a
+// statement in the oracle, ooo_reference_core.cpp — same order, same
+// cycle stamps — with scalar values replaced by lane-major rows.  Keep the
+// two files side by side when editing: a surviving lane's activity stream
+// must stay bit-identical to the oracle's run of the same trace
+// (ctest -L "ooo_equiv|spec|sim_batch").
 #include "sim/ooo/batch_ooo_core.h"
 
 #include <algorithm>
@@ -35,7 +35,21 @@ batch_ooo_core::batch_ooo_core(program_image image, micro_arch_config config,
       dcache_(lanes_, mem::cache(config.dcache)),
       state_(lanes_),
       icache_(config.icache) {
-  validate_config();
+  validate_ooo_config(config_);
+  // The oracle's whole point is being an independent implementation, so
+  // it has no batched twin.
+  if (ooo_reference_selected(config_)) {
+    throw util::simulation_error(
+        "the production ooo engine (batch_ooo_core / ooo_core) runs only "
+        "the fast scheduler; make_backend builds sim::ooo_reference_core "
+        "for ooo.scheduler == reference or USCA_OOO_REFERENCE=1");
+  }
+  spec_ = effective_speculation(config_);
+  spec_enabled_ = spec_.predictor != predictor_kind::perfect;
+  if (spec_enabled_) {
+    predictor_.configure(spec_);
+  }
+  spec_state_.resize(lanes_);
   for (mem::memory& m : memory_) {
     m.load(prog_->data_base, prog_->data);
   }
@@ -75,49 +89,6 @@ batch_ooo_core::batch_ooo_core(program_image image, micro_arch_config config,
   mdr_state_.resize(lanes_);
   align_buffer_state_.resize(lanes_);
   reset_structures();
-}
-
-void batch_ooo_core::validate_config() const {
-  const ooo_config& ooo = config_.ooo;
-  if (ooo.rob_entries < 2 || ooo.rename_width < 1 || ooo.retire_width < 1 ||
-      ooo.rs_entries < 1 || ooo.cdb_width < 1 ||
-      ooo.store_buffer_entries < 1) {
-    throw util::simulation_error("ooo_config: widths/depths must be >= 1 "
-                                 "(rob_entries >= 2)");
-  }
-  if (ooo.rename_width > 4 || ooo.retire_width > 4 || ooo.cdb_width > 4) {
-    throw util::simulation_error(
-        "ooo_config: rename/retire/cdb width beyond the 4 modelled ports");
-  }
-  if (ooo.rob_entries > ooo_max_rob_entries ||
-      ooo.rs_entries > ooo_max_rs_entries) {
-    throw util::simulation_error(
-        "ooo_config: rob_entries/rs_entries beyond the 64-entry scheduler "
-        "sizing cap (ooo_max_rob_entries/ooo_max_rs_entries)");
-  }
-  if (ooo.prf_size <= isa::num_registers + 1 || ooo.prf_size > 255) {
-    throw util::simulation_error(
-        "ooo_config: prf_size must lie in (17, 255] — 16 architectural "
-        "mappings plus at least one rename target");
-  }
-  if (config_.issue_width < 1) {
-    throw util::simulation_error("ooo backend requires issue_width >= 1");
-  }
-  // The reference scheduler is the differential oracle; its whole point
-  // is being an independent implementation, so it has no batched twin.
-  if (ooo.scheduler != ooo_scheduler::fast || ooo_reference_forced()) {
-    throw util::simulation_error(
-        "batch ooo backend supports only the fast scheduler (use "
-        "USCA_SIM_BATCH=0 / per-trace cores for reference-scheduler runs)");
-  }
-  // Speculative lanes diverge down per-lane wrong paths, which the shared
-  // front end of the SoA design cannot represent; the campaign layer
-  // detects this and falls back to per-trace cores transparently.
-  if (speculation_active(config_)) {
-    throw util::simulation_error(
-        "batch ooo backend does not model speculation (predictor != "
-        "perfect); use per-trace cores — campaigns fall back automatically");
-  }
 }
 
 void batch_ooo_core::reset_structures() {
@@ -179,10 +150,27 @@ void batch_ooo_core::reset_structures() {
 
   pc_ = 0;
   halted_ = false;
+
+  wrong_path_ = false;
+  spec_fetch_done_ = false;
+  spec_pc_ = 0;
+  spec_branch_slot_ = no_slot;
+  spec_branch_seq_ = 0;
+  spec_resolve_at_ = 0;
+  ckpt_flags_slot_ = no_slot;
+  ckpt_flags_seq_ = 0;
+  bp_table_state_.fill(0);
+  btb_port_state_.fill(0);
+  if (spec_enabled_) {
+    predictor_.reset();
+  }
+
   cycle_ = 0;
   renamed_ = 0;
   retired_ = 0;
   multi_rename_cycles_ = 0;
+  mispredicts_ = 0;
+  wrong_path_renamed_ = 0;
   active_lane_cycles_ = 0;
   record_activity_ = record_default_;
   marks_.clear();
@@ -204,6 +192,12 @@ void batch_ooo_core::reset() {
   reset_structures();
 }
 
+void batch_ooo_core::rebind(program_image image) {
+  image_ = std::move(image);
+  prog_ = &image_.prog();
+  reset();
+}
+
 void batch_ooo_core::warm_caches() {
   icache_.warm(prog_->code_base, prog_->code.size() * 4 + 4);
   if (!prog_->data.empty()) {
@@ -213,58 +207,89 @@ void batch_ooo_core::warm_caches() {
   }
 }
 
-void batch_ooo_core::run(std::uint64_t max_cycles) {
-  // Entry agreement: per-lane setup may have steered a lane's pc or
-  // halted flag away from the batch (see batch_pipeline::run).
-  {
-    std::array<std::uint64_t, max_batch_lanes> entry;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      entry[l] = (static_cast<std::uint64_t>(state_[l].pc) << 1) |
-                 (state_[l].halted ? 1U : 0U);
-    }
-    agree(entry.data());
+void batch_ooo_core::sync_in() {
+  // Per-lane setup may have steered a lane's pc or halted flag away from
+  // the batch (see batch_pipeline::run).
+  std::array<std::uint64_t, max_batch_lanes> entry;
+  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    entry[l] = (static_cast<std::uint64_t>(state_[l].pc) << 1) |
+               (state_[l].halted ? 1U : 0U);
   }
-  const std::size_t lead = leader();
-  pc_ = state_[lead].pc;
-  halted_ = state_[lead].halted;
+  agree(entry.data());
+  pc_ = state_[leader()].pc;
+  halted_ = state_[leader()].halted;
+}
 
-  const std::uint64_t start_cycle = cycle_;
-  const std::uint64_t start_skipped = idle_skipped_;
-  const std::uint64_t limit = cycle_ + max_cycles;
-  while (!halted_) {
-    if (cycle_ >= limit) {
-      throw util::simulation_error(
-          "batch ooo core exceeded the cycle budget");
-    }
-    step_cycle();
-  }
+void batch_ooo_core::sync_out() {
   for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     state_[l].pc = pc_;
     state_[l].halted = halted_;
   }
+}
+
+void batch_ooo_core::run(std::uint64_t max_cycles) {
+  simulate(max_cycles);
+  note_batch_run(active_limit_, active_lane_cycles_);
+  active_lane_cycles_ = 0;
+}
+
+void batch_ooo_core::simulate(std::uint64_t max_cycles) {
+  sync_in();
+  const std::uint64_t start_cycle = cycle_;
+  const std::uint64_t start_skipped = idle_skipped_;
+  const std::uint64_t start_mispredicts = mispredicts_;
+  const std::uint64_t start_wrong_path = wrong_path_renamed_;
+  const std::uint64_t limit = cycle_ + max_cycles;
+  while (!halted_) {
+    if (cycle_ >= limit) {
+      throw util::simulation_error("ooo core exceeded the cycle budget");
+    }
+    lanes_ == 1 ? step<true>() : step<false>();
+  }
+  sync_out();
+  // Per-cycle quantities are accumulated in plain members and flushed to
+  // telemetry once per run, never from the cycle loop.
   static const telem::counter cycles{"sim.ooo.cycles", "cycles", "sim"};
   static const telem::counter skipped{"sim.ooo.idle_skipped", "cycles",
                                       "sim"};
   cycles.add(cycle_ - start_cycle);
   skipped.add(idle_skipped_ - start_skipped);
-  note_batch_run(active_limit_, active_lane_cycles_);
-  active_lane_cycles_ = 0;
+  if (spec_enabled_) {
+    // Counted per surviving lane: a batch adds what its lanes' per-trace
+    // runs would (ejected lanes count on their per-trace rerun).
+    const auto survivors =
+        static_cast<std::uint64_t>(std::popcount(active_mask_));
+    static const telem::counter mispredicted{"sim.ooo.mispredicts",
+                                             "branches", "sim"};
+    static const telem::counter wrong_uops{"sim.ooo.wrong_path_uops",
+                                           "uops", "sim"};
+    mispredicted.add((mispredicts_ - start_mispredicts) * survivors);
+    wrong_uops.add((wrong_path_renamed_ - start_wrong_path) * survivors);
+  }
+}
+
+bool batch_ooo_core::step_cycle() {
+  sync_in();
+  const bool running = lanes_ == 1 ? step<true>() : step<false>();
+  sync_out();
+  return running;
 }
 
 // ---------------------------------------------------------------------------
 // Event plumbing
 // ---------------------------------------------------------------------------
 
+template <bool one_lane>
 void batch_ooo_core::drive_prf_port(const std::uint32_t* values) {
   const int port = prf_ports_used_this_cycle_++;
   if (port >= 8) {
     return; // the schedule stage bounds issue by the port budget
   }
-  const std::size_t base = static_cast<std::size_t>(port) * lanes_;
+  const std::size_t base = static_cast<std::size_t>(port) * width<one_lane>();
   const auto port_lane = static_cast<std::uint8_t>(port);
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     emit_lane(l, component::prf_read_port, port_lane,
               prf_port_state_[base + l], values[l], cycle_);
@@ -293,6 +318,7 @@ void batch_ooo_core::emit_all_lanes(component comp, std::uint8_t port,
 // Retirement + store buffer
 // ---------------------------------------------------------------------------
 
+template <bool one_lane>
 void batch_ooo_core::retire_stage() {
   const auto sb_capacity =
       static_cast<std::size_t>(config_.ooo.store_buffer_entries);
@@ -308,10 +334,13 @@ void batch_ooo_core::retire_stage() {
     }
 
     if (head.is_store) {
-      const std::size_t tail = (sb_head_ + sb_count_) % sb_capacity;
-      const std::size_t src = rob_head_ * lanes_;
-      const std::size_t dst = tail * lanes_;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      std::size_t tail = sb_head_ + sb_count_;
+      if (tail >= sb_capacity) {
+        tail -= sb_capacity;
+      }
+      const std::size_t src = rob_head_ * width<one_lane>();
+      const std::size_t dst = tail * width<one_lane>();
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         sb_addr_[dst + l] = rob_store_addr_[src + l];
       }
@@ -328,9 +357,10 @@ void batch_ooo_core::retire_stage() {
     }
     if (head.has_value) {
       const auto lane = static_cast<std::uint8_t>(retired_now % 4);
-      const std::size_t base = static_cast<std::size_t>(lane) * lanes_;
-      const std::size_t vrow = rob_head_ * lanes_;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      const std::size_t base =
+          static_cast<std::size_t>(lane) * width<one_lane>();
+      const std::size_t vrow = rob_head_ * width<one_lane>();
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_lane(l, component::rob_retire_port, lane,
                   retire_port_state_[base + l], rob_value_[vrow + l],
@@ -346,7 +376,7 @@ void batch_ooo_core::retire_stage() {
     }
 
     head = rob_entry{};
-    rob_head_ = (rob_head_ + 1) % rob_.size();
+    rob_head_ = rob_head_ + 1 == rob_.size() ? 0 : rob_head_ + 1;
     --rob_count_;
     ++retired_;
     ++retired_now;
@@ -354,6 +384,7 @@ void batch_ooo_core::retire_stage() {
   cycle_dirty_ |= retired_now > 0;
 }
 
+template <bool one_lane>
 void batch_ooo_core::drain_store_buffer() {
   if (sb_count_ == 0) {
     return;
@@ -362,13 +393,15 @@ void batch_ooo_core::drain_store_buffer() {
   // address.  The per-trace path ignores the access's return value, so no
   // agreement is needed here — a diverging cache state surfaces (and
   // ejects) at the next load-penalty checkpoint.
-  const std::size_t row = sb_head_ * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  const std::size_t row = sb_head_ * width<one_lane>();
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     dcache_[l].access(sb_addr_[row + l]);
   }
-  sb_head_ = (sb_head_ + 1) %
-             static_cast<std::size_t>(config_.ooo.store_buffer_entries);
+  if (++sb_head_ ==
+      static_cast<std::size_t>(config_.ooo.store_buffer_entries)) {
+    sb_head_ = 0;
+  }
   --sb_count_;
   cycle_dirty_ = true;
 }
@@ -403,6 +436,7 @@ void batch_ooo_core::add_exec(const exec_entry& ex) {
   }
 }
 
+template <bool one_lane>
 void batch_ooo_core::broadcast_stage() {
   if (!exec_far_.empty()) [[unlikely]] {
     for (std::size_t i = 0; i < exec_far_.size();) {
@@ -442,13 +476,13 @@ void batch_ooo_core::broadcast_stage() {
     cycle_dirty_ = true;
 
     const auto bus = static_cast<std::uint8_t>(lane % 4);
-    const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
+    const std::size_t base = static_cast<std::size_t>(bus) * width<one_lane>();
     // The ROB slot stays allocated until retirement (which runs before
     // this stage each cycle), so its value row is the µop's result — the
     // per-trace path's exec_entry::result — read per lane here.
     const std::size_t vrow =
-        static_cast<std::size_t>(done.rob_slot) * lanes_;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        static_cast<std::size_t>(done.rob_slot) * width<one_lane>();
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_lane(l, component::cdb, bus, cdb_state_[base + l],
                 rob_value_[vrow + l], cycle_);
@@ -493,24 +527,26 @@ bool batch_ooo_core::rs_fits_units(const rs_entry& rs, int prf_ports,
   return !(rs.needs_alu0 && alu0_used);
 }
 
+template <bool one_lane>
 void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
+  const std::size_t lanes = width<one_lane>();
   const auto slot = static_cast<std::size_t>(&rs - rs_.data());
   for (std::size_t s = 0; s < rs.n_src; ++s) {
-    drive_prf_port(&rs_src_value_[(slot * max_sources + s) * lanes_]);
+    drive_prf_port<one_lane>(&rs_src_value_[(slot * max_sources + s) * lanes]);
   }
 
   // Per-lane squash mask: a lane whose condition failed takes the same
   // trip (unit occupancy, latency, D-cache probe, CDB slot) but touches
   // no datapath structure beyond the PRF reads above.
   const std::uint64_t squash = rs_squash_[slot];
-  const std::size_t row = slot * lanes_;
+  const std::size_t row = slot * lanes;
 
   std::uint64_t complete_at;
   if (rs.is_load) {
     // Divergence checkpoint: each lane probes its own D-cache at its own
     // address, but the penalty is a shared scheduling input.
     std::array<int, max_batch_lanes> pen;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       pen[l] = dcache_[l].access(rs_address_[row + l]);
     }
@@ -523,14 +559,14 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     } else if (penalty > 0) {
       lsu_busy_until_ = cycle_ + static_cast<std::uint64_t>(penalty);
     }
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_lane(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
                 cycle_ + 2);
       mdr_state_[l] = rs_mem_word_[row + l];
     }
     if (rs.is_subword && config_.has_align_buffer) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
                   rs_sub_value_[row + l], cycle_ + 3);
@@ -539,14 +575,14 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     }
   } else if (rs.is_store) {
     complete_at = cycle_ + 1;
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_lane(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
                 cycle_ + 2);
       mdr_state_[l] = rs_mem_word_[row + l];
     }
     if (rs.is_subword && config_.has_align_buffer) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
                   rs_sub_value_[row + l], cycle_ + 3);
@@ -558,26 +594,26 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     if (!config_.mul_pipelined) {
       mul_busy_until_ = complete_at;
     }
-    const std::uint32_t* src0 = &rs_src_value_[slot * max_sources * lanes_];
+    const std::uint32_t* src0 = &rs_src_value_[slot * max_sources * lanes];
     const std::uint32_t* src1 =
-        &rs_src_value_[(slot * max_sources + 1) * lanes_];
+        &rs_src_value_[(slot * max_sources + 1) * lanes];
     const std::size_t vrow =
-        static_cast<std::size_t>(rs.rob_slot) * lanes_;
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+        static_cast<std::size_t>(rs.rob_slot) * lanes;
+    for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_lane(l, component::alu_in_latch, 0, alu_latch_state_[l], src0[l],
                 cycle_ + 1);
       alu_latch_state_[l] = src0[l];
     }
     if (rs.n_src > 1) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes_ + l],
+        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes + l],
                   src1[l], cycle_ + 1);
-        alu_latch_state_[lanes_ + l] = src1[l];
+        alu_latch_state_[lanes + l] = src1[l];
       }
     }
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_weight_lane(l, component::alu_out, 0, rob_value_[vrow + l],
                        complete_at - 1);
@@ -586,7 +622,7 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     std::uint64_t latency = 1;
     if (rs.used_shifter) {
       latency += static_cast<std::uint64_t>(config_.shift_extra_latency);
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_weight_lane(l, component::shift_buffer, 0,
                          rs_shift_value_[row + l], cycle_ + 1);
@@ -594,14 +630,14 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     }
     complete_at = cycle_ + latency;
     const std::size_t base =
-        static_cast<std::size_t>(alu_index * 2) * lanes_;
-    const std::uint32_t* src0 = &rs_src_value_[slot * max_sources * lanes_];
+        static_cast<std::size_t>(alu_index * 2) * lanes;
+    const std::uint32_t* src0 = &rs_src_value_[slot * max_sources * lanes];
     const std::uint32_t* src1 =
-        &rs_src_value_[(slot * max_sources + 1) * lanes_];
+        &rs_src_value_[(slot * max_sources + 1) * lanes];
     const std::size_t vrow =
-        static_cast<std::size_t>(rs.rob_slot) * lanes_;
+        static_cast<std::size_t>(rs.rob_slot) * lanes;
     if (rs.n_src > 0) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_lane(l, component::alu_in_latch,
                   static_cast<std::uint8_t>(alu_index * 2),
@@ -610,15 +646,15 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
       }
     }
     if (rs.n_src > 1) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_lane(l, component::alu_in_latch,
                   static_cast<std::uint8_t>(alu_index * 2 + 1),
-                  alu_latch_state_[base + lanes_ + l], src1[l], cycle_ + 1);
-        alu_latch_state_[base + lanes_ + l] = src1[l];
+                  alu_latch_state_[base + lanes + l], src1[l], cycle_ + 1);
+        alu_latch_state_[base + lanes + l] = src1[l];
       }
     }
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_weight_lane(l, component::alu_out,
                        static_cast<std::uint8_t>(alu_index),
@@ -640,6 +676,7 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
   ready_mask_ &= ~(std::uint64_t{1} << (rs.seq & (age_ring_size - 1)));
 }
 
+template <bool one_lane>
 void batch_ooo_core::schedule_stage() {
   prf_ports_used_this_cycle_ = 0;
   if (ready_mask_ == 0) {
@@ -681,7 +718,7 @@ void batch_ooo_core::schedule_stage() {
         alu_index = 1;
       }
     }
-    issue_entry(*pick, alu_index);
+    issue_entry<one_lane>(*pick, alu_index);
     ++issued;
   }
   cycle_dirty_ |= issued > 0;
@@ -691,14 +728,12 @@ void batch_ooo_core::schedule_stage() {
 // Rename: in-order front end, architectural execution per lane
 // ---------------------------------------------------------------------------
 
-void batch_ooo_core::dispatch_to_rs(rs_entry& rs, std::uint32_t rob_slot,
+void batch_ooo_core::dispatch_to_rs(std::uint32_t rob_slot,
                                     std::size_t rs_slot) {
-  rs.busy = true;
-  rs.rob_slot = rob_slot;
-  rs_busy_mask_ |= std::uint64_t{1} << rs_slot;
-  rs.wait_count = 0;
-  rs_[rs_slot] = rs;
   rs_entry& placed = rs_[rs_slot];
+  placed.busy = true;
+  placed.rob_slot = rob_slot;
+  rs_busy_mask_ |= std::uint64_t{1} << rs_slot;
   for (std::size_t s = 0; s < placed.n_src; ++s) {
     if (placed.src_preg[s] != no_reg) {
       preg_waiters_[placed.src_preg[s]].push_back(
@@ -726,14 +761,27 @@ std::uint8_t batch_ooo_core::alloc_preg() {
   return p;
 }
 
+template <bool one_lane>
 batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
-  const std::size_t index = pc_;
+  const std::size_t lanes = width<one_lane>();
+  // The wrong path renames through here too, against the per-lane shadow
+  // registers: it never writes memory, never trains the predictor, and
+  // parks at a mark/halt (serializing µops wait for an empty machine,
+  // which the unresolved branch makes impossible).
+  const bool wrong = wrong_path_;
+  std::vector<cpu_state>& st = wrong ? spec_state_ : state_;
+  std::size_t& pc = wrong ? spec_pc_ : pc_;
+  const std::size_t index = pc;
   const instruction& ins = prog_->code[index];
+  const instruction_static& statics = image_.statics(index);
   const bool serializing = ins.op == opcode::mark || ins.op == opcode::halt;
 
   // All structural stalls are checked before any architectural effect —
-  // shared decisions over shared occupancy state, exactly the per-trace
-  // conditions.
+  // shared decisions over shared occupancy state.
+  if (serializing && wrong) {
+    spec_fetch_done_ = true;
+    return rename_result::stall;
+  }
   if (serializing &&
       (rob_count_ > 0 || slot > 0 || !in_flight_empty() || rs_used_ > 0)) {
     return rename_result::stall;
@@ -742,45 +790,54 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       free_pregs_.empty()) {
     return rename_result::stall;
   }
+  // Wrong-path fetch probes the I-cache like any other.
   const int penalty = icache_.access(prog_->address_of(index));
   if (penalty > 0) {
     fetch_ready_ = cycle_ + static_cast<std::uint64_t>(penalty);
     return rename_result::stall;
   }
 
-  const auto rob_slot =
-      static_cast<std::uint32_t>((rob_head_ + rob_count_) % rob_.size());
-  rob_entry entry;
+  // The ROB and RS records are built in place: rob_slot and rs_slot are
+  // free, and nothing reads a free slot.
+  std::size_t tail = rob_head_ + rob_count_;
+  if (tail >= rob_.size()) {
+    tail -= rob_.size();
+  }
+  const auto rob_slot = static_cast<std::uint32_t>(tail);
+  rob_entry& entry = rob_[rob_slot];
+  entry = rob_entry{};
   entry.seq = next_seq_;
-  const std::size_t vrow = static_cast<std::size_t>(rob_slot) * lanes_;
+  const std::size_t vrow = static_cast<std::size_t>(rob_slot) * lanes;
   // The value row must be zero for entries that never write it: alu_out's
   // Hamming-weight emission for a dest-less µop (cmp/tst) reads this row
-  // where the per-trace path reads a zero-initialized rs_entry::result.
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  // where the oracle reads a zero-initialized rs_entry::result.
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     rob_value_[vrow + l] = 0;
   }
 
-  // Prospective RS slot: countr_zero over the inverted busy mask — the
-  // same expression dispatch_to_rs allocates from, and the mask cannot
-  // change between here and there.  Lane-major RS rows are written in
-  // place at this slot during rename.
+  // Prospective RS slot: the first free one (countr_zero over the
+  // inverted busy mask).  The record and its lane-major rows are written
+  // in place during rename; dispatch_to_rs makes the slot resident.
   const auto rs_slot =
       static_cast<std::size_t>(std::countr_zero(~rs_busy_mask_));
-  const std::size_t rs_row = rs_slot * lanes_;
+  const std::size_t rs_row = rs_slot * lanes;
+  rs_entry& rs = rs_[rs_slot];
+  rs = rs_entry{};
+  rs.seq = entry.seq;
 
-  // Per-lane condition outcome.  Only branches promote it to a shared
-  // control input (agreement below); everywhere else it stays lane-local
-  // data, gating lane-local effects via the squash mask.
+  // Per-lane condition outcome.  Only correct-path branches promote it to
+  // a shared control input (agreement below); everywhere else it stays
+  // lane-local data, gating lane-local effects via the squash mask.
   std::array<std::uint8_t, max_batch_lanes> cond_ok;
   std::uint64_t exec_mask;
   if (ins.cond == isa::condition::al) {
     exec_mask = ~std::uint64_t{0};
   } else {
     exec_mask = 0;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      const bool ok = isa::condition_passes(ins.cond, state_[l].f);
+      const bool ok = isa::condition_passes(ins.cond, st[l].f);
       cond_ok[l] = ok ? 1 : 0;
       if (ok) {
         exec_mask |= std::uint64_t{1} << l;
@@ -788,20 +845,18 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     }
   }
 
-  std::size_t next_pc = pc_ + 1;
+  std::size_t next_pc = index + 1;
 
-  rs_entry rs;
-  rs.seq = entry.seq;
   bool to_rs = false;
   bool redirected = false;
   const auto add_src = [&](reg r) {
     const std::uint8_t preg = rat_[isa::index_of(r)];
     rs.src_preg[rs.n_src] = preg_ready_[preg] ? no_reg : preg;
     std::uint32_t* dst =
-        &rs_src_value_[(rs_slot * max_sources + rs.n_src) * lanes_];
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        &rs_src_value_[(rs_slot * max_sources + rs.n_src) * lanes];
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      dst[l] = state_[l].reg(r);
+      dst[l] = st[l].reg(r);
     }
     ++rs.n_src;
   };
@@ -810,7 +865,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     entry.old_preg = rat_[entry.dest_arch];
     entry.dest_preg = alloc_preg();
     rat_[entry.dest_arch] = entry.dest_preg;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       rob_value_[vrow + l] = values[l];
     }
@@ -820,6 +875,18 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     emit_all_lanes(component::rat_port, lane, rat_port_state_[lane],
                    entry.dest_preg, cycle_);
     rat_port_state_[lane] = entry.dest_preg;
+  };
+  // bl's link value is known at rename on every lane.
+  const auto rename_link = [&] {
+    const std::uint32_t link = prog_->address_of(index + 1);
+    lane_values link_row;
+    link_row.fill(link);
+    rename_dest(reg::lr, link_row.data());
+    preg_ready_[entry.dest_preg] = 1;
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      st[l].set_reg(reg::lr, link);
+    }
   };
   const auto wait_flags = [&] {
     if (flags_producer_slot_ != no_slot &&
@@ -833,14 +900,25 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     entry.is_mark = true;
     entry.mark_id = ins.imm16;
     entry.completed = true;
-    pc_ = next_pc;
+    pc = next_pc;
   } else if (ins.op == opcode::halt) {
     entry.is_halt = true;
     entry.completed = true;
     // pc intentionally left on the halt: the machine stops at commit.
   } else if (isa::is_nop(ins)) {
     entry.completed = true;
-    pc_ = next_pc;
+    pc = next_pc;
+  } else if (wrong && isa::is_branch(ins)) [[unlikely]] {
+    // Wrong-path branches steer fetch by prediction alone: no lane data,
+    // no agreement, no nested checkpoint — the one in-flight mispredict
+    // flushes everything younger than itself anyway.
+    bool taken = true;
+    next_pc = predict_next(ins, index, taken);
+    if (taken && ins.op == opcode::bl) {
+      rename_link();
+    }
+    entry.completed = true;
+    pc = next_pc;
   } else if (isa::is_branch(ins)) {
     // Divergence checkpoint: the condition outcome steers the front end.
     bool exec = true;
@@ -852,18 +930,19 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       if (exec) {
         // Second checkpoint: the indirect target IS the fetch stream.
         lane_values target;
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          target[l] = state_[l].reg(ins.op2.rm);
+          target[l] = st[l].reg(ins.op2.rm);
         }
         agree(target.data());
         const auto target_index =
             prog_->index_of_address(target[leader()]);
         if (!target_index) {
+          // Return past the outermost frame: the front end stops and the
+          // machine drains to a halt (no speculation on the drain).
           frontend_done_ = true;
           entry.completed = true;
           entry.is_halt = true;
-          rob_[rob_slot] = entry;
           ++rob_count_;
           ++next_seq_;
           ++renamed_;
@@ -872,74 +951,76 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         next_pc = *target_index;
       }
     } else if (exec) {
-      const auto target = static_cast<std::size_t>(
-          static_cast<std::int64_t>(pc_) + 1 + ins.branch_offset);
       if (ins.op == opcode::bl) {
-        const std::uint32_t link = prog_->address_of(pc_ + 1);
-        lane_values link_row;
-        link_row.fill(link);
-        rename_dest(reg::lr, link_row.data());
-        preg_ready_[entry.dest_preg] = 1; // value known at rename
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          state_[l].set_reg(reg::lr, link);
-        }
+        rename_link();
       }
-      next_pc = target;
+      next_pc = static_cast<std::size_t>(
+          static_cast<std::int64_t>(index) + 1 + ins.branch_offset);
     }
-    redirected = next_pc != pc_ + 1;
+    // Under a real predictor a mispredict leaves this entry incomplete —
+    // retirement stalls at it, so no wrong-path µop can ever commit —
+    // and sends fetch down the predicted path until the flush.
+    if (spec_enabled_) [[unlikely]] {
+      predict_branch(ins, index, exec, next_pc, rob_slot, entry.seq);
+    }
+    redirected = next_pc != index + 1;
     if (redirected && !config_.perfect_branch_prediction) {
       fetch_ready_ =
           cycle_ + 1 +
           static_cast<std::uint64_t>(config_.branch_mispredict_penalty);
     }
-    entry.completed = true;
-    pc_ = next_pc;
-  } else if (isa::is_memory(ins)) {
+    entry.completed = !wrong_path_;
+    pc = next_pc;
+  } else if (statics.is_memory) {
     add_src(ins.mem.base);
     std::uint32_t* addr = &rs_address_[rs_row];
     if (ins.mem.reg_offset) {
       add_src(ins.mem.offset_reg);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        const std::uint32_t offset = state_[l].reg(ins.mem.offset_reg)
+        const std::uint32_t offset = st[l].reg(ins.mem.offset_reg)
                                      << ins.mem.offset_shift;
-        const std::uint32_t base = state_[l].reg(ins.mem.base);
+        const std::uint32_t base = st[l].reg(ins.mem.base);
         addr[l] = ins.mem.subtract ? base - offset : base + offset;
       }
     } else {
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        const std::uint32_t base = state_[l].reg(ins.mem.base);
+        const std::uint32_t base = st[l].reg(ins.mem.base);
         addr[l] = ins.mem.subtract ? base - ins.mem.offset_imm
                                    : base + ins.mem.offset_imm;
       }
     }
     rs.uses_lsu = true;
     rs.is_subword = isa::is_subword(ins);
-    if (isa::reads_flags(ins)) {
+    if (statics.reads_flags) {
       wait_flags();
     }
 
-    rs_squash_[rs_slot] = active_mask_ & ~exec_mask;
+    rs_squash_[rs_slot] = active<one_lane>() & ~exec_mask;
     if (isa::is_load(ins)) {
       if (ins.cond != isa::condition::al) {
         add_src(ins.rd); // select µop reads the old destination
       }
+      // A wrong-path address is arbitrary: its loads read with forced
+      // alignment so they cannot fault the simulator.  Every older store
+      // already wrote memory at rename (perfect store-to-load forwarding).
+      const std::uint32_t word_mask = wrong ? ~3U : ~0U;
+      const std::uint32_t half_mask = wrong ? ~1U : ~0U;
       lane_values value;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        value[l] = state_[l].reg(ins.rd); // kept on a failed condition
+        value[l] = st[l].reg(ins.rd); // kept on a failed condition
         if ((exec_mask >> l) & 1U) {
           switch (ins.op) {
           case opcode::ldr:
-            value[l] = memory_[l].read32(addr[l]);
+            value[l] = memory_[l].read32(addr[l] & word_mask);
             break;
           case opcode::ldrb:
             value[l] = memory_[l].read8(addr[l]);
             break;
           case opcode::ldrh:
-            value[l] = memory_[l].read16(addr[l]);
+            value[l] = memory_[l].read16(addr[l] & half_mask);
             break;
           default:
             break;
@@ -948,33 +1029,39 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         }
       }
       rename_dest(ins.rd, value.data());
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        state_[l].set_reg(ins.rd, value[l]);
+        st[l].set_reg(ins.rd, value[l]);
         rs_sub_value_[rs_row + l] = value[l];
       }
       rs.is_load = true;
     } else {
       lane_values data;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        data[l] = state_[l].reg(ins.rd);
+        data[l] = st[l].reg(ins.rd);
       }
       add_src(ins.rd); // store data is a register source
-      for (std::uint64_t m = active_mask_ & exec_mask; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & exec_mask; m != 0;
+           m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        switch (ins.op) {
-        case opcode::str:
-          memory_[l].write32(addr[l], data[l]);
-          break;
-        case opcode::strb:
-          memory_[l].write8(addr[l], static_cast<std::uint8_t>(data[l]));
-          break;
-        case opcode::strh:
-          memory_[l].write16(addr[l], static_cast<std::uint16_t>(data[l]));
-          break;
-        default:
-          break;
+        // Wrong-path stores write nothing (younger wrong-path loads see
+        // stale memory); the MDR still observes the target word.
+        if (!wrong) {
+          switch (ins.op) {
+          case opcode::str:
+            memory_[l].write32(addr[l], data[l]);
+            break;
+          case opcode::strb:
+            memory_[l].write8(addr[l], static_cast<std::uint8_t>(data[l]));
+            break;
+          case opcode::strh:
+            memory_[l].write16(addr[l],
+                               static_cast<std::uint16_t>(data[l]));
+            break;
+          default:
+            break;
+          }
         }
         rs_mem_word_[rs_row + l] = memory_[l].containing_word(addr[l]);
         rs_sub_value_[rs_row + l] = ins.op == opcode::strb
@@ -986,26 +1073,29 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       // (the drain probes the computed address; memory is untouched).
       entry.is_store = true;
       entry.has_value = true;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         rob_store_addr_[vrow + l] = addr[l];
         rob_value_[vrow + l] = data[l];
       }
     }
     to_rs = true;
-    pc_ = next_pc;
+    pc = next_pc;
   } else if (ins.op == opcode::mul || ins.op == opcode::mla) {
     add_src(ins.rn);
     add_src(ins.op2.rm);
-    lane_values acc{};
-    if (ins.op == opcode::mla) {
+    // Lane rows are filled for active lanes only: zeroing whole 64-lane
+    // arrays per instruction would dominate a narrow batch.
+    const bool mla = ins.op == opcode::mla;
+    if (mla) {
       add_src(ins.ra);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        acc[l] = state_[l].reg(ins.ra);
-      }
     }
-    if (isa::reads_flags(ins)) {
+    lane_values acc;
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      acc[l] = mla ? st[l].reg(ins.ra) : 0;
+    }
+    if (statics.reads_flags) {
       wait_flags();
     }
     if (ins.cond != isa::condition::al) {
@@ -1013,75 +1103,79 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     }
     rs.is_mul = true;
     rs.needs_alu0 = true;
-    rs_squash_[rs_slot] = active_mask_ & ~exec_mask;
+    rs_squash_[rs_slot] = active<one_lane>() & ~exec_mask;
     lane_values result;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       result[l] = ((exec_mask >> l) & 1U) != 0
-                      ? state_[l].reg(ins.rn) * state_[l].reg(ins.op2.rm) +
-                            acc[l]
-                      : state_[l].reg(ins.rd);
+                      ? st[l].reg(ins.rn) * st[l].reg(ins.op2.rm) + acc[l]
+                      : st[l].reg(ins.rd);
     }
     rename_dest(ins.rd, result.data());
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      state_[l].set_reg(ins.rd, result[l]);
+      st[l].set_reg(ins.rd, result[l]);
     }
     if (ins.set_flags) {
-      for (std::uint64_t m = active_mask_ & exec_mask; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>() & exec_mask; m != 0;
+           m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        state_[l].f.n = (result[l] >> 31) != 0;
-        state_[l].f.z = result[l] == 0;
+        st[l].f.n = (result[l] >> 31) != 0;
+        st[l].f.z = result[l] == 0;
       }
       // The flag rename happens either way: younger flag readers wait on
       // this µop independent of the condition's outcome.
       flags_producer_slot_ = rob_slot;
     }
     to_rs = true;
-    pc_ = next_pc;
+    pc = next_pc;
   } else {
     // Data processing (incl. movw/movt and standalone shifts).
     const bool has_rn = !(ins.op == opcode::mov || ins.op == opcode::mvn ||
                           ins.op == opcode::movw || ins.op == opcode::movt);
-    lane_values rn_value{};
     if (has_rn) {
       add_src(ins.rn);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        rn_value[l] = state_[l].reg(ins.rn);
-      }
+    }
+    lane_values rn_value;
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      rn_value[l] = has_rn ? st[l].reg(ins.rn) : 0;
     }
 
-    lane_values result{};
-    std::array<isa::flags, max_batch_lanes> dp_flags;
+    lane_values result;
     bool writes_result = true;
     bool flags_op = false;
     if (ins.op == opcode::movw) {
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         result[l] = ins.imm16;
       }
     } else if (ins.op == opcode::movt) {
       add_src(ins.rd);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        result[l] = (state_[l].reg(ins.rd) & 0xffffU) |
+        result[l] = (st[l].reg(ins.rd) & 0xffffU) |
                     (static_cast<std::uint32_t>(ins.imm16) << 16);
       }
     } else {
       // The operand-2 *structure* (used_shifter, the source registers it
       // adds) is static per instruction; only the values are per lane.
+      // A lane's new flags are written as soon as its result is known:
+      // nothing later in this rename reads them.
+      flags_op = isa::writes_flags(ins);
+      const std::uint64_t flag_lanes = flags_op ? exec_mask : 0;
       bool used_shifter = false;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         const operand2_value op2 = eval_operand2(
-            ins, [this, l](reg r) { return state_[l].reg(r); },
-            state_[l].f.c);
+            ins, [&st, l](reg r) { return st[l].reg(r); }, st[l].f.c);
         rs_shift_value_[rs_row + l] = op2.value;
         const alu_result dp = execute_dp(ins.op, rn_value[l], op2.value,
-                                         op2.carry, state_[l].f);
+                                         op2.carry, st[l].f);
         result[l] = dp.value;
-        dp_flags[l] = dp.f;
+        if ((flag_lanes >> l) & 1U) {
+          st[l].f = dp.f;
+        }
         writes_result = dp.writes_result;
         used_shifter = op2.used_shifter;
       }
@@ -1093,53 +1187,50 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       }
       rs.used_shifter = used_shifter;
       rs.needs_alu0 = used_shifter;
-      flags_op = isa::writes_flags(ins);
     }
 
-    if (isa::reads_flags(ins)) {
+    if (statics.reads_flags) {
       wait_flags();
     }
-    rs_squash_[rs_slot] = active_mask_ & ~exec_mask;
+    rs_squash_[rs_slot] = active<one_lane>() & ~exec_mask;
     if (writes_result) {
       if (ins.cond != isa::condition::al && ins.op != opcode::movt) {
         add_src(ins.rd);
       }
       lane_values committed;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         committed[l] = ((exec_mask >> l) & 1U) != 0 ? result[l]
-                                                    : state_[l].reg(ins.rd);
+                                                    : st[l].reg(ins.rd);
       }
       rename_dest(ins.rd, committed.data());
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        state_[l].set_reg(ins.rd, committed[l]);
+        st[l].set_reg(ins.rd, committed[l]);
       }
     }
     if (flags_op) {
-      for (std::uint64_t m = active_mask_ & exec_mask; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        state_[l].f = dp_flags[l];
-      }
       flags_producer_slot_ = rob_slot;
     }
     to_rs = true;
-    pc_ = next_pc;
+    pc = next_pc;
   }
 
-  rob_[rob_slot] = entry;
   ++rob_count_;
   if (to_rs) {
-    dispatch_to_rs(rs, rob_slot, rs_slot);
+    dispatch_to_rs(rob_slot, rs_slot);
   }
   ++next_seq_;
-  ++renamed_;
+  ++(wrong ? wrong_path_renamed_ : renamed_);
 
-  if (pc_ >= prog_->code.size() && !entry.is_halt) {
-    frontend_done_ = true;
+  if (pc >= prog_->code.size() && !entry.is_halt) {
+    // Ran off the program's end: the front end (or the wrong path) stops.
+    (wrong ? spec_fetch_done_ : frontend_done_) = true;
     return rename_result::accepted_stop;
   }
   if (redirected && !config_.perfect_branch_prediction) {
+    // The mispredict flush consumed the rest of the group; fetch_ready_
+    // already carries the penalty.
     return rename_result::accepted_stop;
   }
   if (serializing) {
@@ -1148,18 +1239,215 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
   return rename_result::accepted;
 }
 
+// ---------------------------------------------------------------------------
+// Speculation: prediction and recovery flush (shared control)
+// ---------------------------------------------------------------------------
+
+void batch_ooo_core::emit_bp_table(std::uint8_t port, std::uint32_t value) {
+  emit_all_lanes(component::bp_table, port, bp_table_state_[port], value,
+                 cycle_);
+  bp_table_state_[port] = value;
+}
+
+void batch_ooo_core::emit_btb_port(std::uint8_t port, std::uint32_t value) {
+  emit_all_lanes(component::btb_port, port, btb_port_state_[port], value,
+                 cycle_);
+  btb_port_state_[port] = value;
+}
+
+std::size_t batch_ooo_core::predict_next(const instruction& ins,
+                                         std::size_t index, bool& taken) {
+  const auto pc32 = static_cast<std::uint32_t>(index);
+  const auto target = static_cast<std::size_t>(
+      static_cast<std::int64_t>(index) + 1 + ins.branch_offset);
+  // Direction: unconditional branches are always "taken" to the decoder.
+  // For conditional indirect branches the displacement hint is the
+  // fall-through index, so static BTFN predicts not-taken — a front end
+  // cannot see an indirect target's direction.
+  taken = true;
+  if (ins.cond != isa::condition::al) {
+    const auto dir = predictor_.predict_conditional(
+        pc32, ins.op == opcode::bx ? pc32 + 1
+                                   : static_cast<std::uint32_t>(target));
+    emit_bp_table(0, dir.table_bus);
+    taken = dir.taken;
+  }
+  if (!taken) {
+    return index + 1;
+  }
+  // Target: returns pop the RSB (peek on the wrong path, which never
+  // mutates predictor state), other indirects consult the BTB, direct
+  // branches decode their displacement.
+  if (ins.op != opcode::bx) {
+    return target;
+  }
+  if (ins.op2.rm == reg::lr) {
+    const auto p =
+        wrong_path_ ? predictor_.peek_return() : predictor_.pop_return();
+    emit_btb_port(1, p.target_bus);
+    return p.target;
+  }
+  const auto p = predictor_.predict_indirect(pc32);
+  emit_btb_port(0, p.target_bus);
+  return p.has_target ? p.target : index + 1;
+}
+
+void batch_ooo_core::predict_branch(const instruction& ins,
+                                    std::size_t index, bool exec,
+                                    std::size_t actual_next,
+                                    std::uint32_t rob_slot,
+                                    std::uint32_t seq) {
+  const auto pc32 = static_cast<std::uint32_t>(index);
+  const bool is_return = ins.op == opcode::bx && ins.op2.rm == reg::lr;
+  bool taken = true;
+  const std::size_t predicted = predict_next(ins, index, taken);
+  if (!taken && is_return && exec) {
+    // Direction-mispredicted return: the RSB still balances its bl at
+    // resolve (a silent repair pop; no prediction came off it).
+    predictor_.pop_return();
+  }
+
+  // Learn the resolved outcome — agreed across lanes, so shared.
+  if (ins.cond != isa::condition::al) {
+    emit_bp_table(1, predictor_.update_conditional(pc32, exec));
+  }
+  if (ins.op == opcode::bl && exec) {
+    emit_btb_port(1, predictor_.push_return(pc32 + 1));
+  }
+  if (ins.op == opcode::bx && !is_return && exec) {
+    emit_btb_port(0, predictor_.update_indirect(
+                         pc32, static_cast<std::uint32_t>(actual_next)));
+  }
+
+  if (predicted == actual_next) {
+    return;
+  }
+  // Mispredict: fetch follows the predicted (wrong) path until the branch
+  // resolves resolve_latency cycles from now, executing against a shadow
+  // copy of each lane's registers/flags seeded here.
+  ++mispredicts_;
+  wrong_path_ = true;
+  spec_pc_ = predicted;
+  spec_fetch_done_ = predicted >= prog_->code.size();
+  spec_branch_slot_ = rob_slot;
+  spec_branch_seq_ = seq;
+  spec_resolve_at_ =
+      cycle_ + static_cast<std::uint64_t>(spec_.resolve_latency);
+  ckpt_flags_slot_ = flags_producer_slot_;
+  ckpt_flags_seq_ =
+      flags_producer_slot_ != no_slot ? rob_[flags_producer_slot_].seq : 0;
+  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    spec_state_[l] = state_[l];
+  }
+}
+
+void batch_ooo_core::resolve_mispredict() {
+  // Walk the ROB tail back to (exclusive) the mispredicted branch,
+  // youngest first: each step undoes one rename (RAT mapping via the
+  // old_preg chain, physical register back to the free list).  Pushing
+  // youngest-first restores the free list's exact stack order.
+  const auto branch_slot = static_cast<std::size_t>(spec_branch_slot_);
+  while (rob_count_ > 0) {
+    const std::size_t tail = (rob_head_ + rob_count_ - 1) % rob_.size();
+    if (tail == branch_slot) {
+      break;
+    }
+    rob_entry& e = rob_[tail];
+    if (e.dest_arch != no_reg) {
+      rat_[e.dest_arch] = e.old_preg;
+      preg_ready_[e.dest_preg] = 1;
+      preg_waiters_[e.dest_preg].clear();
+      free_pregs_.push_back(e.dest_preg);
+    }
+    rob_flag_waiters_[tail].clear();
+    e = rob_entry{};
+    --rob_count_;
+  }
+
+  // Purge wrong-path reservation-station entries (everything younger
+  // than the branch) and their scheduler bookkeeping.
+  for (std::uint64_t m = rs_busy_mask_; m != 0; m &= m - 1) {
+    const auto slot = static_cast<std::size_t>(std::countr_zero(m));
+    rs_entry& rs = rs_[slot];
+    if (rs.seq > spec_branch_seq_) {
+      rs.busy = false;
+      --rs_used_;
+      rs_busy_mask_ &= ~(std::uint64_t{1} << slot);
+      ready_mask_ &= ~(std::uint64_t{1} << (rs.seq & (age_ring_size - 1)));
+    }
+  }
+  // Drop purged slots from surviving producers' waiter lists (a
+  // wrong-path µop can wait on a correct-path result).  Every subscribed
+  // slot is now either still busy (live) or just purged, so the busy
+  // flag is the exact membership test.
+  for (auto& waiters : preg_waiters_) {
+    std::erase_if(waiters,
+                  [this](std::uint16_t w) { return !rs_[w >> 2].busy; });
+  }
+  for (auto& waiters : rob_flag_waiters_) {
+    std::erase_if(waiters,
+                  [this](std::uint8_t rs_slot) { return !rs_[rs_slot].busy; });
+  }
+  const auto purge_exec = [this](std::vector<exec_entry>& entries) {
+    exec_in_flight_ -= std::erase_if(entries, [this](const exec_entry& ex) {
+      return ex.seq > spec_branch_seq_;
+    });
+  };
+  for (auto& bucket : exec_wheel_) {
+    purge_exec(bucket);
+  }
+  purge_exec(exec_far_);
+  // pending_bcast_ entries already left the wheel (and its in-flight
+  // count); they just lose their CDB slot.
+  std::erase_if(pending_bcast_, [this](const exec_entry& ex) {
+    return ex.seq > spec_branch_seq_;
+  });
+
+  // The flag producer reverts to the checkpointed one — unless that
+  // entry has retired (possibly letting the slot be reused), which the
+  // recorded seq detects; then there is nothing to wait on.
+  flags_producer_slot_ = no_slot;
+  if (ckpt_flags_slot_ != no_slot) {
+    const std::size_t pos =
+        (static_cast<std::size_t>(ckpt_flags_slot_) + rob_.size() -
+         rob_head_) %
+        rob_.size();
+    if (pos < rob_count_ && rob_[ckpt_flags_slot_].seq == ckpt_flags_seq_) {
+      flags_producer_slot_ = ckpt_flags_slot_;
+    }
+  }
+
+  // The branch resolves: it may now retire, wrong-path sequence numbers
+  // are reused by the correct path (the age ring needs the in-flight seq
+  // window to stay dense), and fetch resumes from the shared pc, which
+  // always held the correct next index.
+  rob_[branch_slot].completed = true;
+  next_seq_ = spec_branch_seq_ + 1;
+  wrong_path_ = false;
+  spec_fetch_done_ = false;
+  spec_branch_slot_ = no_slot;
+  cycle_dirty_ = true;
+}
+
+template <bool one_lane>
 void batch_ooo_core::rename_stage() {
   if (frontend_done_ || cycle_ < fetch_ready_) {
     return;
   }
-  if (pc_ >= prog_->code.size()) {
+  if (!wrong_path_ && pc_ >= prog_->code.size()) {
     frontend_done_ = true; // fell off the end without a halt
     return;
   }
   int renamed_now = 0;
-  while (renamed_now < config_.ooo.rename_width &&
-         pc_ < prog_->code.size()) {
-    const rename_result r = rename_one(renamed_now);
+  while (renamed_now < config_.ooo.rename_width) {
+    // The front end cannot tell it mispredicted: fetch continues down the
+    // predicted path — possibly in the same rename group as the branch —
+    // until the resolve-cycle flush.
+    if (wrong_path_ ? spec_fetch_done_ : pc_ >= prog_->code.size()) {
+      break;
+    }
+    const rename_result r = rename_one<one_lane>(renamed_now);
     if (r == rename_result::stall) {
       break;
     }
@@ -1196,25 +1484,37 @@ std::uint64_t batch_ooo_core::next_event_cycle() const noexcept {
   if (mul_busy_until_ > cycle_) {
     next = std::min(next, mul_busy_until_);
   }
+  if (wrong_path_) {
+    // The recovery flush is a scheduled event: a fully stalled wrong
+    // path (parked fetch, empty pipeline) must still wake up to resolve.
+    next = std::min(next, spec_resolve_at_);
+  }
   return next == ~std::uint64_t{0} ? cycle_ + 1 : next;
 }
 
-bool batch_ooo_core::step_cycle() {
+template <bool one_lane>
+bool batch_ooo_core::step() {
   if (halted_) {
     return false;
   }
   active_lane_cycles_ +=
-      static_cast<std::uint64_t>(std::popcount(active_mask_));
+      static_cast<std::uint64_t>(std::popcount(active<one_lane>()));
   cycle_dirty_ = false;
-  retire_stage();
+  if (wrong_path_ && cycle_ >= spec_resolve_at_) [[unlikely]] {
+    // The branch resolves at the top of the cycle: the flush happens
+    // before retirement (the resolved branch may commit this cycle) and
+    // before rename (correct-path fetch restarts this cycle).
+    resolve_mispredict();
+  }
+  retire_stage<one_lane>();
   if (halted_) {
     ++cycle_;
     return false;
   }
-  drain_store_buffer();
-  broadcast_stage();
-  schedule_stage();
-  rename_stage();
+  drain_store_buffer<one_lane>();
+  broadcast_stage<one_lane>();
+  schedule_stage<one_lane>();
+  rename_stage<one_lane>();
 
   if (frontend_done_ && rob_count_ == 0 && in_flight_empty() &&
       sb_count_ == 0) {

@@ -38,33 +38,22 @@
 // keeps the model fast enough for 100k-trace campaigns while making
 // "same ISA, different leakage" directly measurable.
 //
-// Two scheduler implementations share this architectural substrate (see
-// ooo_scheduler in micro_arch_config.h):
-//
-//   * `reference` — the original per-cycle linear scans: the RS ready scan
-//     re-walks every slot per issue slot, wakeup re-walks every RS entry
-//     per CDB broadcast, and CDB arbitration re-scans the in-flight list
-//     per lane;
-//   * `fast` — the production path: a 64-bit ready bitmask over an
-//     age-ordered ring (oldest-first select via masked rotate +
-//     countr_zero), per-physical-tag waiter lists so a CDB write touches
-//     only its dependents, a 64-bucket completion calendar wheel plus a
-//     seq-sorted pending list making CDB arbitration O(cdb_width) per
-//     cycle, and an
-//     idle-cycle skip that advances straight to the next scheduled event
-//     when no µop can dispatch, issue, complete, or retire.
-//
-// The two are bit-identical by contract — same retirement order, same
-// architectural state, same activity stream at every cycle — which the
-// differential suites (tests/sim/ooo_equivalence_fuzz_test.cpp and
-// friends) enforce; USCA_OOO_REFERENCE=1 in the environment forces the
-// reference scheduler process-wide for A/B runs without a rebuild.
+// One production engine implements this model: sim::batch_ooo_core,
+// which advances N traces through one shared scheduler (ready bitmask
+// over an age-ordered ring, per-tag waiter lists, a completion wheel, an
+// idle-cycle skip; speculation included).  This class is its per-trace
+// face — a sim::backend over a 1-lane batch, whose one lane is the leader
+// and so is never ejected.  The only other implementation is the oracle
+// sim::ooo_reference_core (ooo_reference_core.h): the original per-cycle
+// linear scans, bit-identical by contract and enforced by the
+// differential suites (ctest -L "ooo_equiv|spec|sim_batch").
+// make_backend() picks the oracle when ooo.scheduler == reference or
+// USCA_OOO_REFERENCE=1 is set; constructing this class under either
+// throws.
 #ifndef USCA_SIM_OOO_OOO_CORE_H
 #define USCA_SIM_OOO_OOO_CORE_H
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "asmx/program.h"
 #include "mem/cache.h"
@@ -72,9 +61,9 @@
 #include "sim/backend.h"
 #include "sim/cpu_state.h"
 #include "sim/micro_arch_config.h"
+#include "sim/ooo/batch_ooo_core.h"
 #include "sim/ooo/speculation.h"
 #include "sim/program_image.h"
-#include "sim/uarch_activity.h"
 
 namespace usca::sim {
 
@@ -89,6 +78,10 @@ bool parse_ooo_reference_env(const char* value);
 /// the live value; throws on a malformed value (see parse above).
 bool ooo_reference_forced();
 
+/// Whether an OoO backend built from `config` runs on the oracle
+/// (ooo.scheduler == reference, or USCA_OOO_REFERENCE=1).
+bool ooo_reference_selected(const micro_arch_config& config);
+
 class ooo_core final : public backend {
 public:
   explicit ooo_core(asmx::program prog,
@@ -96,7 +89,8 @@ public:
 
   /// Shares an immutable program image instead of copying the program —
   /// the constructor campaign workers use.  Throws util::simulation_error
-  /// when the ooo_config is structurally invalid (e.g. prf_size <= 16).
+  /// when the ooo_config is structurally invalid (e.g. prf_size <= 16) or
+  /// the reference scheduler is selected (see above).
   explicit ooo_core(program_image image,
                     micro_arch_config config = cortex_a7_ooo());
 
@@ -104,282 +98,65 @@ public:
 
   void reset() override;
   void rebind(program_image image) override;
-  void warm_caches() override;
+  void warm_caches() override { lane_.warm_caches(); }
   void run(std::uint64_t max_cycles = 50'000'000) override;
   bool step_cycle() override;
 
-  cpu_state& state() noexcept override { return state_; }
-  const cpu_state& state() const noexcept override { return state_; }
-  mem::memory& memory() noexcept override { return memory_; }
-  const mem::memory& memory() const noexcept override { return memory_; }
-  const asmx::program& program() const noexcept override { return *prog_; }
-  const micro_arch_config& config() const noexcept { return config_; }
+  cpu_state& state() noexcept override { return lane_.state(0); }
+  const cpu_state& state() const noexcept override { return lane_.state(0); }
+  mem::memory& memory() noexcept override { return lane_.memory(0); }
+  const mem::memory& memory() const noexcept override {
+    return lane_.memory(0);
+  }
+  const asmx::program& program() const noexcept override {
+    return lane_.program();
+  }
+  const micro_arch_config& config() const noexcept { return lane_.config(); }
 
-  std::uint64_t cycles() const noexcept override { return cycle_; }
+  std::uint64_t cycles() const noexcept override { return lane_.cycles(); }
   /// Instructions renamed (accepted by the front end), nops and
   /// condition-failed instructions included — the OoO analogue of the
   /// pipeline's issued count.
   std::uint64_t instructions_issued() const noexcept override {
-    return renamed_;
+    return lane_.instructions_issued();
   }
   /// Instructions committed at the head of the ROB.
-  std::uint64_t instructions_retired() const noexcept { return retired_; }
+  std::uint64_t instructions_retired() const noexcept {
+    return lane_.instructions_retired();
+  }
   /// Branch mispredictions taken down the wrong path (0 under the
   /// perfect predictor).
-  std::uint64_t mispredicts() const noexcept { return mispredicts_; }
+  std::uint64_t mispredicts() const noexcept { return lane_.mispredicts(); }
   /// Wrong-path µops renamed and later squashed by a recovery flush —
   /// each one toggled fetch/rename/RS leakage components first.
   std::uint64_t wrong_path_renamed() const noexcept {
-    return wrong_path_renamed_;
+    return lane_.wrong_path_renamed();
   }
   /// The speculation block actually in effect (config + env override).
-  const speculation_config& speculation() const noexcept { return spec_; }
+  const speculation_config& speculation() const noexcept {
+    return lane_.speculation();
+  }
   /// Cycles in which the rename stage accepted more than one instruction
   /// (the OoO analogue of dual-issue pairs).
   std::uint64_t multi_rename_cycles() const noexcept {
-    return multi_rename_cycles_;
+    return lane_.multi_rename_cycles();
   }
 
   using mark_stamp = sim::mark_stamp;
 
-  const mem::cache& icache() const noexcept { return icache_; }
-  const mem::cache& dcache() const noexcept { return dcache_; }
+  const mem::cache& icache() const noexcept { return lane_.icache(); }
+  const mem::cache& dcache() const noexcept { return lane_.dcache(0); }
 
 private:
-  static constexpr std::uint8_t no_reg = 0xff;
-  static constexpr std::uint32_t no_slot = 0xffffffffU;
-  static constexpr std::size_t max_sources = 4;
+  /// Runs `drive` with this backend's activity buffer, marks and
+  /// recording flags handed to the lane, and takes them back afterwards
+  /// (exceptions included).  Pointer swaps both ways: neither buffer is
+  /// copied or reallocated, so campaign loops stay allocation-free.
+  template <typename Drive>
+  decltype(auto) on_lane(Drive&& drive);
+  void swap_recording() noexcept;
 
-  struct rob_entry {
-    std::uint32_t seq = 0;         ///< rename order (age)
-    std::uint8_t dest_arch = no_reg;
-    std::uint8_t dest_preg = no_reg;
-    std::uint8_t old_preg = no_reg; ///< freed when this entry retires
-    bool completed = false;
-    bool has_value = false; ///< drives a retire port when committing
-    bool is_store = false;
-    bool is_mark = false;
-    bool is_halt = false;
-    std::uint16_t mark_id = 0;
-    std::uint32_t value = 0;      ///< result / store data
-    std::uint32_t store_addr = 0; ///< drained through the store buffer
-  };
-
-  struct rs_entry {
-    bool busy = false;
-    std::uint32_t rob_slot = no_slot;
-    std::uint32_t seq = 0;
-    std::uint8_t n_src = 0;
-    std::array<std::uint8_t, max_sources> src_preg{};  ///< no_reg = ready
-    std::array<std::uint32_t, max_sources> src_value{};
-    std::uint32_t flags_wait_slot = no_slot; ///< ROB slot of flag producer
-    bool needs_alu0 = false;
-    bool is_mul = false;
-    bool uses_lsu = false; ///< competes for the LSU pipe (incl. squashed)
-    bool is_load = false;
-    bool is_store = false;
-    bool is_subword = false;
-    /// Condition-failed select µop: predication renames the destination
-    /// (re-committing the old value), takes the same unit/latency/CDB
-    /// trip as the executed variant, and emits no datapath events beyond
-    /// the PRF reads.  This is the OoO counterpart of the in-order
-    /// model's "semantically neutral, not security neutral" predication
-    /// behaviour, and what keeps the schedule (and thus the acquisition
-    /// window) independent of condition outcomes.
-    bool squashed = false;
-    bool used_shifter = false;
-    /// Outstanding operand count (not-ready sources + a pending flag
-    /// producer); maintained by the fast scheduler only — the entry's
-    /// ready bit is set when it reaches zero.
-    std::uint8_t wait_count = 0;
-    std::uint32_t address = 0;
-    std::uint32_t mem_word = 0;   ///< MDR value (word containing address)
-    std::uint32_t sub_value = 0;  ///< align-buffer value (sub-word ops)
-    std::uint32_t shift_value = 0;
-    std::uint32_t result = 0;
-  };
-
-  struct exec_entry {
-    std::uint64_t complete_at = 0;
-    std::uint32_t rob_slot = no_slot;
-    std::uint32_t seq = 0;
-    std::uint8_t dest_preg = no_reg;
-    bool broadcasts = false; ///< consumes a CDB lane (dest-writing ops)
-    std::uint32_t result = 0;
-  };
-
-  void validate_config() const;
-  void reset_structures();
-
-  // Pipeline stages (called youngest-last each cycle so that an
-  // instruction renamed in cycle c issues no earlier than c+1).
-  void retire_stage();
-  void drain_store_buffer();
-  void broadcast_stage();
-  void schedule_stage();
-  void rename_stage();
-
-  // Fast-scheduler counterparts (bit-identical to the reference stages;
-  // see the header comment).
-  void broadcast_stage_fast();
-  void schedule_stage_fast();
-  void complete_rob_fast(std::uint32_t slot);
-  /// Marks one more of `rs_[slot]`'s outstanding operands delivered;
-  /// sets the entry's ready-ring bit when none remain.
-  void deliver_operand(std::size_t slot);
-  /// Skips directly to the next cycle with a scheduled event when the
-  /// current one did nothing; returns the new current cycle.
-  std::uint64_t next_event_cycle() const noexcept;
-
-  enum class rename_result : std::uint8_t {
-    stall,         ///< nothing accepted; the front end retries next cycle
-    accepted,      ///< renamed; the group may continue this cycle
-    accepted_stop, ///< renamed, but the group closes (serialize / redirect)
-  };
-
-  /// Architectural execution + rename bookkeeping of one instruction.
-  rename_result rename_one(int slot);
-
-  // --- speculation (active only when spec_enabled_) --------------------
-  /// Correct-path branch: queries/updates the predictor, emits bp_table/
-  /// btb_port activity, and starts a wrong-path episode on a mispredict.
-  /// `actual_next` is the architecturally resolved next pc.
-  void predict_branch(const isa::instruction& ins, std::size_t pc_index,
-                      bool exec, std::size_t actual_next,
-                      std::uint32_t rob_slot, std::uint32_t seq);
-  /// Rename of one wrong-path µop: structurally identical to rename_one
-  /// (ROB/RAT/RS allocation, full activity emission) but reads/writes the
-  /// shadow register view and NEVER touches architectural state/memory.
-  rename_result rename_one_wrong_path(int slot);
-  /// Recovery flush at branch resolution: walks the ROB tail back to the
-  /// mispredicted branch restoring RAT/free-list/ready state, purges
-  /// younger RS/exec/waiter entries, and resumes correct-path fetch.
-  void resolve_mispredict();
-  void emit_bp_table(std::uint8_t lane, std::uint32_t value);
-  void emit_btb_port(std::uint8_t lane, std::uint32_t value);
-
-  bool rs_ready(const rs_entry& rs) const noexcept;
-  /// Unit/port eligibility shared by both select implementations (the
-  /// readiness check differs: reference re-derives it, fast reads the
-  /// ready ring).
-  bool rs_fits_units(const rs_entry& rs, int prf_ports, int alus_used,
-                     bool alu0_used, bool lsu_used) const noexcept;
-  /// `alu_index` is the ALU the select stage bound this op to (0 or 1;
-  /// meaningless for LSU-bound ops).
-  void issue_entry(rs_entry& rs, int alu_index);
-  void complete_rob(std::uint32_t slot);
-  /// Inserts the renamed µop into the reservation stations (mode-aware:
-  /// the fast path also registers its waiter-list subscriptions).
-  void dispatch_to_rs(rs_entry& rs, std::uint32_t rob_slot);
-  void add_exec(const exec_entry& ex);
-  bool in_flight_empty() const noexcept {
-    return exec_.empty() && exec_in_flight_ == 0 && pending_bcast_.empty();
-  }
-  std::uint8_t alloc_preg();
-
-  void drive_prf_port(std::uint32_t value);
-
-  program_image image_;
-  const asmx::program* prog_ = nullptr;
-  micro_arch_config config_;
-  mem::memory memory_;
-  mem::cache icache_;
-  mem::cache dcache_;
-  cpu_state state_;
-
-  // Rename state.
-  std::array<std::uint8_t, isa::num_registers> rat_{};
-  std::vector<std::uint8_t> free_pregs_; ///< stack of free physical regs
-  std::vector<std::uint8_t> preg_ready_; ///< value produced (timing only)
-  std::uint32_t next_seq_ = 0;
-  std::uint32_t flags_producer_slot_ = no_slot;
-  bool frontend_done_ = false;
-  std::uint64_t fetch_ready_ = 0;
-
-  // Reorder buffer (circular) + reservation stations + in-flight ops.
-  std::vector<rob_entry> rob_;
-  std::size_t rob_head_ = 0;
-  std::size_t rob_count_ = 0;
-  std::vector<rs_entry> rs_;
-  std::size_t rs_used_ = 0;
-  std::vector<exec_entry> exec_; ///< in-flight ops (reference scheduler)
-
-  // Fast-scheduler state (unused when fast_ is false).
-  static constexpr std::uint32_t age_ring_size = 64;
-  bool fast_ = true;
-  std::uint64_t rs_busy_mask_ = 0; ///< bit per RS slot; allocation bitmap
-  std::uint64_t ready_mask_ = 0;   ///< bit per age-ring position (seq % 64)
-  std::array<std::uint8_t, age_ring_size> age_to_slot_{};
-  /// Per-physical-tag wakeup subscriptions: (rs_slot << 2) | src_index.
-  std::vector<std::vector<std::uint16_t>> preg_waiters_;
-  /// Per-ROB-slot flag-wait subscriptions: rs_slot.
-  std::vector<std::vector<std::uint8_t>> rob_flag_waiters_;
-  /// Completion calendar: a 64-bucket wheel indexed by complete_at mod 64.
-  /// FU latencies (1..lsu_latency + miss penalty) are far below 64 cycles,
-  /// so insert and drain are O(1); anything scheduled >= 64 cycles out
-  /// parks in exec_far_ and migrates into the wheel as cycles advance
-  /// (normally empty — only reachable with pathological sweep latencies).
-  std::array<std::vector<exec_entry>, age_ring_size> exec_wheel_;
-  std::vector<exec_entry> exec_far_;
-  std::size_t exec_in_flight_ = 0;        ///< wheel + far entry count
-  std::vector<exec_entry> pending_bcast_; ///< completed; seq-descending
-  bool cycle_dirty_ = false; ///< any stage did observable work this cycle
-
-  // Post-commit store buffer (addresses only; data already architectural).
-  std::vector<std::uint32_t> store_buffer_;
-
-  // Structural unit state.
-  std::uint64_t lsu_busy_until_ = 0;
-  std::uint64_t mul_busy_until_ = 0;
-  int prf_ports_used_this_cycle_ = 0;
-
-  // Micro-architectural bus/latch state (leakage sources).
-  std::array<std::uint32_t, 8> prf_port_state_{};
-  std::array<std::uint32_t, 4> alu_latch_state_{};
-  std::array<std::uint32_t, 4> rat_port_state_{};
-  std::array<std::uint32_t, 4> tag_bus_state_{};
-  std::array<std::uint32_t, 4> cdb_state_{};
-  std::array<std::uint32_t, 4> retire_port_state_{};
-  std::uint32_t mdr_state_ = 0;
-  std::uint32_t align_buffer_state_ = 0;
-
-  // Speculation state (inert under the default perfect predictor: the
-  // hot correct path only ever tests spec_enabled_ / wrong_path_).
-  speculation_config spec_;
-  branch_predictor predictor_;
-  bool spec_enabled_ = false;
-  bool wrong_path_ = false;      ///< front end is fetching the wrong path
-  bool spec_fetch_done_ = false; ///< wrong-path fetch ran off a cliff
-  std::size_t spec_pc_ = 0;      ///< wrong-path fetch index
-  std::uint32_t spec_branch_slot_ = no_slot; ///< mispredicted branch (ROB)
-  std::uint32_t spec_branch_seq_ = 0;
-  std::uint64_t spec_resolve_at_ = 0; ///< cycle the recovery flush runs
-  /// Checkpointed flag-producer (slot + seq; the seq validates that the
-  /// slot has not retired and been reused by the time the flush restores
-  /// it).  The RAT needs no checkpoint: the ROB walk restores it through
-  /// the old_preg chain.
-  std::uint32_t ckpt_flags_slot_ = no_slot;
-  std::uint32_t ckpt_flags_seq_ = 0;
-  /// Shadow register view the wrong path executes against (seeded from
-  /// the architectural state at the mispredict): wrong-path dataflow is
-  /// exact — a wrong-path load's result feeds the next wrong-path µop's
-  /// address, the Spectre gadget's second access — without ever writing
-  /// state_ or memory.  Wrong-path stores update nothing (no forwarding
-  /// to younger wrong-path loads; documented simplification).
-  std::array<std::uint32_t, isa::num_registers> spec_regs_{};
-  isa::flags spec_flags_{};
-  std::array<std::uint32_t, 2> bp_table_state_{};
-  std::array<std::uint32_t, 2> btb_port_state_{};
-
-  std::uint64_t cycle_ = 0;
-  std::uint64_t renamed_ = 0;
-  std::uint64_t retired_ = 0;
-  std::uint64_t multi_rename_cycles_ = 0;
-  std::uint64_t mispredicts_ = 0;
-  std::uint64_t wrong_path_renamed_ = 0;
-  /// Cycles the fast scheduler jumped over as idle; accumulated here in
-  /// the per-cycle loop and flushed to telemetry once per run().
-  std::uint64_t idle_skipped_ = 0;
+  batch_ooo_core lane_;
 };
 
 } // namespace usca::sim

@@ -94,17 +94,16 @@ std::optional<predictor_kind> parse_spec_predictor_env(const char* value);
 std::optional<predictor_kind> spec_predictor_forced();
 
 /// The speculation block of `config` with the USCA_SPEC_PREDICTOR
-/// override applied — what an ooo_core constructed from `config` will
+/// override applied — what an OoO core constructed from `config` will
 /// actually run.
 speculation_config effective_speculation(const micro_arch_config& config);
 
 /// True when an OoO core built from `config` would speculate (effective
-/// predictor != perfect).  The batched OoO core rejects such configs;
-/// the campaign layers use this to fall back to the per-trace path.
+/// predictor != perfect).
 bool speculation_active(const micro_arch_config& config);
 
 /// Branch predictor + BTB + RSB state machine.  Pure bookkeeping: the
-/// ooo_core owns the activity emission, so every query/update returns
+/// OoO core owns the activity emission, so every query/update returns
 /// the value driven onto the corresponding predictor bus (table index,
 /// counter state, target index) for the caller to emit.
 class branch_predictor {

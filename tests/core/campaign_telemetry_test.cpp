@@ -13,8 +13,11 @@
 #include <string>
 #include <thread>
 
+#include "core/acquisition.h"
 #include "core/campaign_telemetry.h"
 #include "core/trace_archive.h"
+#include "crypto/aes_codegen.h"
+#include "sim/batch_sim.h"
 #include "util/json_writer.h"
 #include "util/telemetry.h"
 
@@ -296,6 +299,79 @@ TEST_P(TelemetryBitIdentity, ArchiveBytesInvariantToTelemetry) {
 
   std::remove(off_path.c_str());
   std::remove(on_path.c_str());
+}
+
+// The speculation counters are counted per surviving lane, so a batched
+// speculating campaign's totals equal its per-trace run's: first with no
+// lane ejected (one fixed plaintext), then with lanes ejected by the
+// branchy victim's secret-dependent branches and redone per trace, which
+// campaign.lane_fallbacks counts.
+TEST_F(CampaignTelemetryTest, BatchedSpeculationCountersMatchPerTrace) {
+  const crypto::aes_program_layout layout =
+      crypto::generate_aes128_branchy_program();
+  const crypto::aes_round_keys rk = crypto::expand_key(
+      {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15,
+       0x88, 0x09, 0xcf, 0x4f, 0x3c});
+  const telem::counter mispredicts{"sim.ooo.mispredicts", "branches", "sim"};
+  const telem::counter wrong_uops{"sim.ooo.wrong_path_uops", "uops", "sim"};
+  const telem::counter fallbacks{"campaign.lane_fallbacks", "traces",
+                                 "campaign"};
+  const telem::counter lane_cycles{"sim.batch.active_lane_cycles",
+                                   "lane-cycles", "sim"};
+  struct totals {
+    std::uint64_t mispredicts = 0;
+    std::uint64_t wrong_uops = 0;
+    std::uint64_t fallbacks = 0;
+    bool batched = false;
+  };
+  const auto run = [&](bool random_plaintexts, int lanes) {
+    core::acquisition_config config;
+    config.traces = 16;
+    config.threads = 1;
+    config.seed = 0x5bec;
+    config.synthesize = false;
+    config.backend = sim::backend_kind::ooo;
+    config.uarch = sim::cortex_a7_ooo_spec(
+        sim::speculation_config{.predictor = sim::predictor_kind::bimodal});
+    config.sim_batch_lanes = lanes;
+    core::acquisition_campaign campaign(sim::program_image(layout.prog),
+                                        config);
+    campaign.set_setup([&](std::size_t, util::xoshiro256& rng,
+                           sim::backend& core, std::vector<double>&) {
+      crypto::aes_block pt{};
+      if (random_plaintexts) {
+        for (std::uint8_t& b : pt) {
+          b = rng.next_u8();
+        }
+      }
+      crypto::install_aes_inputs(core.memory(), layout, rk, pt);
+    });
+    const totals before{mispredicts.value(), wrong_uops.value(),
+                        fallbacks.value()};
+    const std::uint64_t cycles_before = lane_cycles.value();
+    campaign.run([](core::acquisition_record&&) {});
+    return totals{mispredicts.value() - before.mispredicts,
+                  wrong_uops.value() - before.wrong_uops,
+                  fallbacks.value() - before.fallbacks,
+                  lane_cycles.value() > cycles_before};
+  };
+
+  const totals fixed_per_trace = run(false, 0);
+  const totals fixed_batched = run(false, 8);
+  EXPECT_GT(fixed_per_trace.mispredicts, 0u);
+  EXPECT_EQ(fixed_batched.fallbacks, 0u);
+  EXPECT_EQ(fixed_batched.mispredicts, fixed_per_trace.mispredicts);
+  EXPECT_EQ(fixed_batched.wrong_uops, fixed_per_trace.wrong_uops);
+
+  const totals random_per_trace = run(true, 0);
+  const totals random_batched = run(true, 8);
+  // USCA_SIM_BATCH / USCA_OOO_REFERENCE can force the per-trace path or
+  // single-lane batches, whose one lane is the leader and never ejects.
+  if (random_batched.batched && sim::resolve_sim_batch_lanes(8) > 1) {
+    EXPECT_GT(random_batched.fallbacks, 0u);
+  }
+  EXPECT_EQ(random_batched.mispredicts, random_per_trace.mispredicts);
+  EXPECT_EQ(random_batched.wrong_uops, random_per_trace.wrong_uops);
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 
 #include "crypto/aes_codegen.h"
 #include "sim/ooo/ooo_core.h"
+#include "sim/ooo/ooo_reference_core.h"
 #include "sim/pipeline.h"
 #include "sim/uarch_activity.h"
 
@@ -95,7 +96,7 @@ TEST(OooActivityGolden, OooAesRound1WindowDigestIsPinned) {
   // the one window the paper's experiments actually consume.
   micro_arch_config ref_arch = cortex_a7_ooo();
   ref_arch.ooo.scheduler = ooo_scheduler::reference;
-  ooo_core ref(layout.prog, ref_arch);
+  ooo_reference_core ref(layout.prog, ref_arch);
   const window_digest ref_got = aes_round1_digest(ref, layout);
   EXPECT_EQ(ref_got.digest, golden_ooo_digest);
   EXPECT_EQ(ref_got.window_begin, got.window_begin);

@@ -1,15 +1,17 @@
 // Differential fuzzing of the two OoO scheduler implementations.
 //
-// The fast scheduler (ready bitmasks, tag-indexed wakeup, constant-time
-// CDB arbitration, idle-cycle skip) claims absolute bit-identity with the
-// reference per-cycle linear scans: identical retirement order, identical
-// architectural state, and an identical 14-component activity stream at
-// every cycle.  That contract is what makes the scheduler rewrite
-// trustworthy — the synthesizer's power model is driven directly by the
-// activity stream, so any divergence silently changes every downstream
-// trace.  This suite enforces it on hundreds of seeded random programs
-// across the default engine and the stress-sweep shapes, plus a directed
-// regression for the classic wakeup/select hazard.
+// The production scheduler (sim::batch_ooo_core, driven per-trace through
+// its 1-lane face sim::ooo_core: ready bitmasks, tag-indexed wakeup,
+// constant-time CDB arbitration, idle-cycle skip) claims absolute
+// bit-identity with the oracle sim::ooo_reference_core's per-cycle linear
+// scans: identical retirement order, identical architectural state, and
+// an identical 14-component activity stream at every cycle.  That
+// contract is what makes the scheduler rewrite trustworthy — the
+// synthesizer's power model is driven directly by the activity stream,
+// so any divergence silently changes every downstream trace.  This suite
+// enforces it on hundreds of seeded random programs across the default
+// engine and the stress-sweep shapes, plus a directed regression for the
+// classic wakeup/select hazard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "asmx/program.h"
 #include "random_program.h"
 #include "sim/ooo/ooo_core.h"
+#include "sim/ooo/ooo_reference_core.h"
 #include "util/rng.h"
 
 namespace usca::sim {
@@ -41,11 +44,12 @@ struct run_snapshot {
   activity_trace activity;
 };
 
+template <typename Core>
 run_snapshot run_program(const asmx::program& prog,
                          const micro_arch_config& arch,
                          const std::array<std::uint32_t, 8>& inputs,
                          std::uint32_t index_r11) {
-  ooo_core core(prog, arch);
+  Core core(prog, arch);
   for (std::size_t r = 0; r < inputs.size(); ++r) {
     core.state().regs[r] = inputs[r];
   }
@@ -125,8 +129,10 @@ TEST_P(OooEquivalenceFuzzTest, FastSchedulerIsBitIdenticalToReference) {
     const auto index_r11 =
         static_cast<std::uint32_t>(rng.bounded(random_program_buffer_words));
 
-    const run_snapshot fast = run_program(prog, fast_arch, inputs, index_r11);
-    const run_snapshot ref = run_program(prog, ref_arch, inputs, index_r11);
+    const run_snapshot fast =
+        run_program<ooo_core>(prog, fast_arch, inputs, index_r11);
+    const run_snapshot ref =
+        run_program<ooo_reference_core>(prog, ref_arch, inputs, index_r11);
     expect_identical(fast, ref, seed);
   }
 }
@@ -188,7 +194,7 @@ TEST(OooSameCycleWakeup, LastOperandOnFinalCdbSlotIssuesSameCycle) {
     ooo_core fast(prog, fast_arch);
     fast.warm_caches();
     fast.run();
-    ooo_core ref(prog, ref_arch);
+    ooo_reference_core ref(prog, ref_arch);
     ref.warm_caches();
     ref.run();
 

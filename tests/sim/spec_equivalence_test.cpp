@@ -6,14 +6,16 @@
 //   2. Speculation changes ONLY timing and activity: for every predictor
 //      kind, the architectural results (registers, flags, memory, mark
 //      ids) of seeded random programs are identical to the spec-off run.
-//   3. The fast and reference schedulers stay bit-identical under
-//      speculation — wrong-path rename, dispatch, issue and the recovery
-//      flush included.
+//   3. The production engine (sim::batch_ooo_core, per-trace through its
+//      1-lane face sim::ooo_core) and the oracle sim::ooo_reference_core
+//      stay bit-identical under speculation — wrong-path rename,
+//      dispatch, issue and the recovery flush included — and so does
+//      every surviving lane of a speculating batch.
 //   4. Recovery flushes nest correctly behind in-flight wrong-path
 //      branches, and RSB over/underflow stays deterministic.
-//   5. USCA_SPEC_PREDICTOR parses strictly and overrides live; the
-//      batched OoO core rejects speculative configs and campaigns fall
-//      back to the per-trace path with byte-identical records.
+//   5. USCA_SPEC_PREDICTOR parses strictly and overrides live; a
+//      speculating campaign batches and delivers records byte-identical
+//      to its per-trace run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,6 +29,7 @@
 #include "random_program.h"
 #include "sim/ooo/batch_ooo_core.h"
 #include "sim/ooo/ooo_core.h"
+#include "sim/ooo/ooo_reference_core.h"
 #include "sim/ooo/speculation.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -74,11 +77,12 @@ struct full_snapshot {
   activity_trace activity;
 };
 
+template <typename Core = ooo_core>
 full_snapshot run_random(const asmx::program& prog,
                          const micro_arch_config& arch,
                          const std::array<std::uint32_t, 8>& inputs,
                          std::uint32_t index_r11) {
-  ooo_core core(prog, arch);
+  Core core(prog, arch);
   for (std::size_t r = 0; r < inputs.size(); ++r) {
     core.state().regs[r] = inputs[r];
   }
@@ -244,7 +248,8 @@ TEST(SpecEquivalence, FastAndReferenceSchedulersAgreeUnderSpeculation) {
         static_cast<std::uint32_t>(rng.bounded(random_program_buffer_words));
 
     const full_snapshot fast = run_random(prog, fast_arch, inputs, index_r11);
-    const full_snapshot ref = run_random(prog, ref_arch, inputs, index_r11);
+    const full_snapshot ref =
+        run_random<ooo_reference_core>(prog, ref_arch, inputs, index_r11);
     expect_same_arch(fast.arch, ref.arch, seed, "fast vs reference");
     ASSERT_EQ(fast.cycles, ref.cycles) << "seed=" << seed;
     ASSERT_EQ(fast.mispredicts, ref.mispredicts) << "seed=" << seed;
@@ -459,32 +464,102 @@ TEST(SpecEquivalence, BranchyAesMispredictsWithoutCorruption) {
   }
 }
 
-TEST(SpecBatching, BatchCoreRejectsSpeculativeConfigs) {
-  const crypto::aes_program_layout layout = crypto::generate_aes128_program();
-  const micro_arch_config arch =
-      cortex_a7_ooo_spec(spec_of(predictor_kind::bimodal));
-  try {
-    batch_ooo_core batch(program_image(layout.prog), arch, 4);
-    FAIL() << "expected simulation_error";
-  } catch (const util::simulation_error& e) {
-    EXPECT_NE(std::string(e.what()).find("speculation"), std::string::npos);
+/// Everything a batch lane and the oracle must agree on after one AES
+/// run: registers, flags, the ciphertext block, cycles, marks, the
+/// speculation counts and the whole activity stream.
+void expect_lane_matches(const batch_ooo_core& batch, std::size_t lane,
+                         const ooo_reference_core& ref,
+                         const crypto::aes_program_layout& layout,
+                         const std::string& what) {
+  EXPECT_EQ(batch.state(lane).regs, ref.state().regs) << what;
+  EXPECT_EQ(batch.state(lane).f, ref.state().f) << what;
+  EXPECT_EQ(crypto::read_aes_state(batch.memory(lane), layout),
+            crypto::read_aes_state(ref.memory(), layout))
+      << what;
+  EXPECT_EQ(batch.cycles(), ref.cycles()) << what;
+  ASSERT_EQ(batch.marks().size(), ref.marks().size()) << what;
+  for (std::size_t m = 0; m < ref.marks().size(); ++m) {
+    EXPECT_EQ(batch.marks()[m].id, ref.marks()[m].id) << what;
+    EXPECT_EQ(batch.marks()[m].cycle, ref.marks()[m].cycle) << what;
+    EXPECT_EQ(batch.marks()[m].dual_pairs, ref.marks()[m].dual_pairs)
+        << what;
   }
-  // The perfect design point batches as before.
-  EXPECT_NO_THROW(batch_ooo_core(
-      program_image(layout.prog),
-      cortex_a7_ooo_spec(spec_of(predictor_kind::perfect)), 4));
+  EXPECT_EQ(batch.mispredicts(), ref.mispredicts()) << what;
+  EXPECT_EQ(batch.wrong_path_renamed(), ref.wrong_path_renamed()) << what;
+  EXPECT_EQ(activity_window_digest(batch.activity(lane), 0,
+                                   static_cast<std::uint32_t>(ref.cycles())),
+            activity_window_digest(ref.activity(), 0,
+                                   static_cast<std::uint32_t>(ref.cycles())))
+      << what;
+  EXPECT_EQ(batch.activity(lane), ref.activity()) << what;
 }
 
-// A speculative campaign silently takes the per-trace path and delivers
-// records byte-identical to an explicit USCA_SIM_BATCH=0 run.
-TEST(SpecBatching, CampaignFallsBackPerTraceByteIdentical) {
+// Speculation runs in the batch core as shared control: every surviving
+// lane of an 8-lane speculating batch must reproduce the oracle's run of
+// the same trace exactly, wrong-path activity included.  Constant-time
+// AES has no data-dependent branch, so no lane may eject; the branchy
+// variant's secret-dependent branches must eject some.
+TEST(SpecBatching, BatchLanesMatchReferenceOracle) {
+  constexpr std::size_t lanes = 8;
+  const crypto::aes_round_keys rk = crypto::expand_key(golden_key);
+  util::xoshiro256 rng(0x5bec1a4e);
+  std::array<crypto::aes_block, lanes> plaintexts;
+  for (crypto::aes_block& pt : plaintexts) {
+    for (std::uint8_t& b : pt) {
+      b = rng.next_u8();
+    }
+  }
+  for (const bool branchy : {false, true}) {
+    const crypto::aes_program_layout layout =
+        branchy ? crypto::generate_aes128_branchy_program()
+                : crypto::generate_aes128_program();
+    for (const predictor_kind kind :
+         {predictor_kind::static_btfn, predictor_kind::bimodal,
+          predictor_kind::gshare}) {
+      const micro_arch_config arch = cortex_a7_ooo_spec(spec_of(kind));
+      batch_ooo_core batch(program_image(layout.prog), arch, lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        crypto::install_aes_inputs(batch.memory(l), layout, rk,
+                                   plaintexts[l]);
+      }
+      batch.warm_caches();
+      batch.run();
+
+      std::size_t ejected = 0;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        if (batch.lane_diverged(l)) {
+          ++ejected;
+          continue;
+        }
+        ooo_reference_core ref(layout.prog, arch);
+        crypto::install_aes_inputs(ref.memory(), layout, rk, plaintexts[l]);
+        ref.warm_caches();
+        ref.run();
+        expect_lane_matches(batch, l, ref, layout,
+                            std::string(branchy ? "branchy " : "ct ") +
+                                std::string(predictor_kind_name(kind)) +
+                                " lane " + std::to_string(l));
+      }
+      if (branchy) {
+        EXPECT_GT(ejected, 0u) << predictor_kind_name(kind);
+        EXPECT_GT(batch.mispredicts(), 0u) << predictor_kind_name(kind);
+      } else {
+        EXPECT_EQ(ejected, 0u) << predictor_kind_name(kind);
+      }
+    }
+  }
+}
+
+// A speculating campaign batches like any other and delivers records
+// byte-identical to an explicit USCA_SIM_BATCH=0 (per-trace) run.
+TEST(SpecBatching, SpeculatingCampaignBatchedMatchesPerTrace) {
   core::campaign_config config;
   config.traces = 6;
   config.threads = 1;
   config.seed = 0x5becca3;
   config.backend = sim::backend_kind::ooo;
   config.uarch = cortex_a7_ooo_spec(spec_of(predictor_kind::gshare));
-  config.sim_batch_lanes = -1; // would batch, were speculation off
+  config.sim_batch_lanes = -1; // the default lane count
 
   const crypto::aes_key key = golden_key;
   const auto collect = [&]() {
@@ -496,20 +571,20 @@ TEST(SpecBatching, CampaignFallsBackPerTraceByteIdentical) {
     return records;
   };
 
-  const std::vector<core::trace_record> fallback = collect();
+  const std::vector<core::trace_record> batched = collect();
   ASSERT_EQ(setenv("USCA_SIM_BATCH", "0", 1), 0);
   const std::vector<core::trace_record> per_trace = collect();
   ASSERT_EQ(unsetenv("USCA_SIM_BATCH"), 0);
 
-  ASSERT_EQ(fallback.size(), per_trace.size());
-  for (std::size_t i = 0; i < fallback.size(); ++i) {
-    EXPECT_EQ(fallback[i].plaintext, per_trace[i].plaintext);
-    EXPECT_EQ(fallback[i].cycles, per_trace[i].cycles);
-    ASSERT_EQ(fallback[i].samples.size(), per_trace[i].samples.size());
-    if (!fallback[i].samples.empty()) {
-      EXPECT_EQ(std::memcmp(fallback[i].samples.data(),
+  ASSERT_EQ(batched.size(), per_trace.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_EQ(batched[i].plaintext, per_trace[i].plaintext);
+    EXPECT_EQ(batched[i].cycles, per_trace[i].cycles);
+    ASSERT_EQ(batched[i].samples.size(), per_trace[i].samples.size());
+    if (!batched[i].samples.empty()) {
+      EXPECT_EQ(std::memcmp(batched[i].samples.data(),
                             per_trace[i].samples.data(),
-                            fallback[i].samples.size() * sizeof(double)),
+                            batched[i].samples.size() * sizeof(double)),
                 0);
     }
   }
