@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "isa/disasm.h"
-#include "sim/pipeline.h"
+#include "sim/batch_pipeline.h"
 
 namespace usca::core {
 
@@ -68,9 +68,6 @@ std::vector<leak_finding>
 leakage_scanner::scan(const asmx::program& prog,
                       std::size_t max_findings) const {
   std::vector<leak_finding> findings;
-  // A throwaway pipeline instance supplies the pairing predicate so the
-  // static schedule matches the dynamic one.
-  sim::pipeline pairing_oracle(prog, config_);
 
   // Structure occupancy.
   std::array<std::size_t, isa::num_registers> reg_versions{};
@@ -136,7 +133,7 @@ leakage_scanner::scan(const asmx::program& prog,
     if (index + 1 < n &&
         (!config_.pair_aligned_fetch_only || index % 2 == 0) &&
         !isa::is_branch(first) &&
-        pairing_oracle.statically_pairable(first, prog.code[index + 1])) {
+        sim::statically_pairable(config_, first, prog.code[index + 1])) {
       group = 2;
     }
 

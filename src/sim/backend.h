@@ -16,11 +16,14 @@
 //                is bit-identical in behaviour to a newly constructed one;
 //   * rebind() — swaps in a different shared program image and resets.
 //
-// Implementations: sim::pipeline (in-order, partial dual-issue),
-// sim::ooo_core (out-of-order issue: rename/ROB/RS — the per-trace face
-// of the production engine sim::batch_ooo_core, sim/ooo/) and the OoO
-// oracle sim::ooo_reference_core, which make_backend() picks for the
-// reference scheduler.
+// Implementations: sim::pipeline (in-order, partial dual-issue — the
+// per-trace face of the engine sim::batch_pipeline), sim::ooo_core
+// (out-of-order issue: rename/ROB/RS — the per-trace face of the engine
+// sim::batch_ooo_core, sim/ooo/) and the OoO oracle
+// sim::ooo_reference_core, which make_backend() picks for the reference
+// scheduler.  A face drives its engine at one lane and lends it the
+// recording members below for the duration of each call
+// (batch_backend::drive_face).
 #ifndef USCA_SIM_BACKEND_H
 #define USCA_SIM_BACKEND_H
 
@@ -126,6 +129,10 @@ public:
   void clear_activity_cutoff_mark() noexcept { has_cutoff_mark_ = false; }
 
 protected:
+  // The batch engines swap these recording members with their lane 0
+  // when they run as a per-trace face's engine (batch_sim.h).
+  friend class batch_backend;
+
   // emit/emit_weight are defined here (not backend.cpp) so the core models'
   // hot loops — tens of thousands of calls per simulated run — inline them.
 

@@ -1,17 +1,15 @@
-// Lane-batched twin of pipeline.cpp.  Every emission point and every
-// shared-control update below corresponds 1:1 to a statement in
-// sim::pipeline — same order, same cycle stamps — with per-trace scalar
-// data replaced by a loop over the active lanes.  When editing, keep the
-// two files side by side: the per-lane activity stream of a surviving
-// lane must stay bit-identical to a per-trace run (ctest -L sim_batch).
+// The in-order Cortex-A7 model.  Shared control (fetch, issue selection,
+// scoreboard) runs once per cycle; every emission point loops the active
+// lanes in lane order, so a surviving lane's activity stream does not
+// depend on the batch it ran in (ctest -L sim_batch, and the golden pins
+// in tests/sim/inorder_activity_golden_test.cpp).  The modelled
+// micro-architecture and execution strategy are described in pipeline.h.
 #include "sim/batch_pipeline.h"
 
 #include <algorithm>
 #include <bit>
 
 #include "sim/alu.h"
-#include "sim/pipeline.h"
-#include "util/bitops.h"
 #include "util/error.h"
 #include "util/telemetry.h"
 
@@ -21,6 +19,7 @@ namespace {
 
 using isa::instruction;
 using isa::opcode;
+using isa::reads_flags;
 using isa::reg;
 using isa::writes_flags;
 
@@ -34,14 +33,6 @@ batch_pipeline::batch_pipeline(program_image image, micro_arch_config config,
       config_(config),
       memory_(lanes_),
       dcache_(lanes_, mem::cache(config.dcache)),
-      state_(lanes_),
-      rf_port_state_(3 * lanes_, 0),
-      is_ex_bus_state_(3 * lanes_, 0),
-      alu_latch_state_(4 * lanes_, 0),
-      ex_wb_latch_state_(2 * lanes_, 0),
-      wb_bus_state_(2 * lanes_, 0),
-      mdr_state_(lanes_, 0),
-      align_buffer_state_(lanes_, 0),
       icache_(config.icache) {
   for (mem::memory& m : memory_) {
     m.load(prog_->data_base, prog_->data);
@@ -59,6 +50,13 @@ void batch_pipeline::derive_pairability() {
   }
 }
 
+void batch_pipeline::rebind(program_image image) {
+  image_ = std::move(image);
+  prog_ = &image_.prog();
+  derive_pairability();
+  reset();
+}
+
 void batch_pipeline::reset() {
   for (std::size_t l = 0; l < lanes_; ++l) {
     memory_[l].reset();
@@ -68,13 +66,13 @@ void batch_pipeline::reset() {
     activity_[l].clear();
   }
   icache_.reset();
-  std::fill(rf_port_state_.begin(), rf_port_state_.end(), 0U);
-  std::fill(is_ex_bus_state_.begin(), is_ex_bus_state_.end(), 0U);
-  std::fill(alu_latch_state_.begin(), alu_latch_state_.end(), 0U);
-  std::fill(ex_wb_latch_state_.begin(), ex_wb_latch_state_.end(), 0U);
-  std::fill(wb_bus_state_.begin(), wb_bus_state_.end(), 0U);
-  std::fill(mdr_state_.begin(), mdr_state_.end(), 0U);
-  std::fill(align_buffer_state_.begin(), align_buffer_state_.end(), 0U);
+  std::fill_n(rf_port_state_.begin(), 3 * lanes_, 0U);
+  std::fill_n(is_ex_bus_state_.begin(), 3 * lanes_, 0U);
+  std::fill_n(alu_latch_state_.begin(), 4 * lanes_, 0U);
+  std::fill_n(ex_wb_latch_state_.begin(), 2 * lanes_, 0U);
+  std::fill_n(wb_bus_state_.begin(), 2 * lanes_, 0U);
+  std::fill_n(mdr_state_.begin(), lanes_, 0U);
+  std::fill_n(align_buffer_state_.begin(), lanes_, 0U);
   pc_ = 0;
   halted_ = false;
   reg_ready_.fill(0);
@@ -103,54 +101,41 @@ void batch_pipeline::warm_caches() {
 }
 
 void batch_pipeline::run(std::uint64_t max_cycles) {
-  // Entry agreement: per-lane setup code may have steered a lane's pc or
-  // halted flag away from the batch; such lanes cannot share the control
-  // stream and are ejected before the first cycle.
-  {
-    std::array<std::uint64_t, max_batch_lanes> entry;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      entry[l] = (static_cast<std::uint64_t>(state_[l].pc) << 1) |
-                 (state_[l].halted ? 1U : 0U);
-    }
-    agree(entry.data());
-  }
-  const std::size_t lead = leader();
-  pc_ = state_[lead].pc;
-  halted_ = state_[lead].halted;
-
-  const std::uint64_t start_cycle = cycle_;
-  const std::uint64_t limit = cycle_ + max_cycles;
-  while (!halted_) {
-    if (cycle_ >= limit) {
-      throw util::simulation_error(
-          "batch pipeline exceeded the cycle budget");
-    }
-    step_cycle();
-  }
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    state_[l].pc = pc_;
-    state_[l].halted = halted_;
-  }
-  static const telem::counter cycles{"sim.inorder.cycles", "cycles", "sim"};
-  cycles.add(cycle_ - start_cycle);
+  simulate(max_cycles);
   note_batch_run(active_limit_, active_lane_cycles_);
   active_lane_cycles_ = 0;
 }
 
+void batch_pipeline::simulate(std::uint64_t max_cycles) {
+  sync_in();
+  const std::uint64_t start_cycle = cycle_;
+  lanes_ == 1 ? step_until<true>(cycle_ + max_cycles)
+              : step_until<false>(cycle_ + max_cycles);
+  sync_out();
+  static const telem::counter cycles{"sim.inorder.cycles", "cycles", "sim"};
+  cycles.add(cycle_ - start_cycle);
+}
+
+bool batch_pipeline::step_cycle() {
+  sync_in();
+  const bool running = lanes_ == 1 ? step<true>() : step<false>();
+  sync_out();
+  return running;
+}
+
 // ---------------------------------------------------------------------------
-// Event plumbing (pipeline.cpp helpers, looped over active lanes)
+// Event plumbing
 // ---------------------------------------------------------------------------
 
-void batch_pipeline::drive_rf_port(const lane_values& values) {
+template <bool one_lane>
+void batch_pipeline::drive_rf_port(const lane_array<one_lane>& values) {
   const int port = rf_ports_used_this_cycle_++;
   if (port >= 3) {
     return; // defensive: pairing rules keep this within 3 ports
   }
-  const std::size_t base = static_cast<std::size_t>(port) * lanes_;
+  const std::size_t base = static_cast<std::size_t>(port) * width<one_lane>();
   const auto port_lane = static_cast<std::uint8_t>(port);
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     emit_lane(l, component::rf_read_port, port_lane, rf_port_state_[base + l],
               values[l], cycle_);
@@ -158,10 +143,12 @@ void batch_pipeline::drive_rf_port(const lane_values& values) {
   }
 }
 
-void batch_pipeline::drive_is_ex_bus(std::uint8_t bus,
-                                     const lane_values& values) {
-  const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+template <bool one_lane>
+void batch_pipeline::drive_is_ex_bus(
+    std::uint8_t bus, const lane_array<one_lane>& values) {
+  // Operands flop into the EX stage one cycle after the RF read.
+  const std::size_t base = static_cast<std::size_t>(bus) * width<one_lane>();
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     emit_lane(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
               values[l], cycle_ + 1);
@@ -169,10 +156,11 @@ void batch_pipeline::drive_is_ex_bus(std::uint8_t bus,
   }
 }
 
+template <bool one_lane>
 void batch_pipeline::drive_is_ex_bus_uniform(std::uint8_t bus,
                                              std::uint32_t value) {
-  const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  const std::size_t base = static_cast<std::size_t>(bus) * width<one_lane>();
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     emit_lane(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
               value, cycle_ + 1);
@@ -180,11 +168,12 @@ void batch_pipeline::drive_is_ex_bus_uniform(std::uint8_t bus,
   }
 }
 
-void batch_pipeline::write_back(int slot, const lane_values& values,
+template <bool one_lane>
+void batch_pipeline::write_back(int slot, const lane_array<one_lane>& values,
                                 std::uint64_t at_cycle) {
   const auto bus = static_cast<std::uint8_t>(slot);
-  const std::size_t base = static_cast<std::size_t>(slot) * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  const std::size_t base = static_cast<std::size_t>(slot) * width<one_lane>();
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     emit_lane(l, component::wb_bus, bus, wb_bus_state_[base + l], values[l],
               at_cycle);
@@ -195,9 +184,10 @@ void batch_pipeline::write_back(int slot, const lane_values& values,
   }
 }
 
-void batch_pipeline::retire_write(reg r, const lane_values& values,
+template <bool one_lane>
+void batch_pipeline::retire_write(reg r, const lane_array<one_lane>& values,
                                   std::uint64_t ready_at) noexcept {
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     state_[l].set_reg(r, values[l]);
   }
@@ -205,7 +195,7 @@ void batch_pipeline::retire_write(reg r, const lane_values& values,
 }
 
 // ---------------------------------------------------------------------------
-// Issue legality (shared control, identical to pipeline.cpp)
+// Issue legality (shared control)
 // ---------------------------------------------------------------------------
 
 bool batch_pipeline::operands_ready(std::size_t index) const noexcept {
@@ -235,35 +225,114 @@ bool batch_pipeline::unit_available(std::size_t index) const noexcept {
   return true;
 }
 
+bool statically_pairable(const micro_arch_config& config,
+                         const instruction& older,
+                         const instruction& younger) noexcept {
+  if (config.issue_width < 2) {
+    return false;
+  }
+  if (isa::is_nop(older) || isa::is_nop(younger)) {
+    if (!config.nop_dual_issues) {
+      return false;
+    }
+  }
+  const isa::issue_class older_cls = isa::classify(older);
+  const isa::issue_class younger_cls = isa::classify(younger);
+  if (older_cls == isa::issue_class::other ||
+      younger_cls == isa::issue_class::other) {
+    return false;
+  }
+
+  if (config.policy == issue_policy::table) {
+    const std::size_t row = pair_class_index(older_cls);
+    const std::size_t col = pair_class_index(younger_cls);
+    if (row >= num_pair_classes || col >= num_pair_classes) {
+      if (!config.nop_dual_issues) {
+        return false;
+      }
+    } else if (!config.pair_table[row][col]) {
+      return false;
+    }
+  } else {
+    // Structural-only policy: an idealized issue stage limited solely by
+    // physical resources.
+    if (isa::is_memory(older) && isa::is_memory(younger)) {
+      return false; // single LSU pipe
+    }
+    if (isa::needs_alu0(older) && isa::needs_alu0(younger) &&
+        config.alu0_has_shifter) {
+      return false; // one shifter/multiplier
+    }
+    if (isa::is_branch(older) && isa::is_branch(younger)) {
+      return false; // one branch unit
+    }
+  }
+
+  // Structural limits that hold under every policy.
+  if (isa::read_ports_needed(older) + isa::read_ports_needed(younger) >
+      config.rf_read_ports) {
+    return false;
+  }
+  if (isa::write_ports_needed(older) + isa::write_ports_needed(younger) >
+      config.rf_write_ports) {
+    return false;
+  }
+
+  // Inter-instruction dependencies.
+  const isa::reg_list older_dests = isa::destination_registers(older);
+  for (const reg r : isa::source_registers(younger)) {
+    if (older_dests.contains(r)) {
+      return false; // RAW
+    }
+  }
+  for (const reg r : isa::destination_registers(younger)) {
+    if (older_dests.contains(r)) {
+      return false; // WAW
+    }
+  }
+  if (writes_flags(older) && (reads_flags(younger) || writes_flags(younger))) {
+    return false;
+  }
+  return true;
+}
+
+template <bool one_lane>
 bool batch_pipeline::agreed_exec(const instruction& ins) noexcept {
   if (ins.cond == isa::condition::al) {
     return true;
   }
-  std::array<std::uint8_t, max_batch_lanes> outcome;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  lane_array<one_lane, std::uint8_t> outcome;
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     outcome[l] = isa::condition_passes(ins.cond, state_[l].f) ? 1 : 0;
   }
-  agree(outcome.data());
-  return outcome[leader()] != 0;
+  return agreed<one_lane>(outcome) != 0;
 }
 
 // ---------------------------------------------------------------------------
-// Issue + execute (pipeline::issue, lane-batched)
+// Issue + execute
 // ---------------------------------------------------------------------------
 
+template <bool one_lane>
 batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
                                                     int slot) {
+  using values = lane_array<one_lane>;
+  const std::size_t lanes = width<one_lane>();
   issue_outcome outcome;
   outcome.issued = true;
   ++issued_;
 
   std::size_t next_pc = pc_ + 1;
 
-  // Simulator pseudo-ops: control never consults the condition here.
+  // Simulator pseudo-ops: transparent to the leakage model; control never
+  // consults the condition here.
   if (ins.op == opcode::mark) {
     marks_.push_back(mark_stamp{ins.imm16, cycle_, dual_pairs_});
     if (has_cutoff_mark_ && ins.imm16 == cutoff_mark_) {
+      // Safe cut: every event of a window ending at this mark's cycle was
+      // emitted by an instruction issued strictly before it (marks
+      // serialize, and emission cycles never precede issue cycles), so it
+      // is already recorded.
       record_activity_ = false;
     }
     outcome.serialize = true;
@@ -276,16 +345,21 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     return outcome;
   }
 
+  // The canonical nop: condition-never, zero-valued operands.  It does not
+  // execute, but it *does* traverse the issue stage, where (on the modelled
+  // core) it asserts zeroes on the operand buses and later resets the
+  // write-back buses — the paper's "semantically neutral, not security
+  // neutral" behaviour.
   if (isa::is_nop(ins)) {
     if (config_.nop_drives_zero_operands) {
-      drive_is_ex_bus_uniform(0, 0);
-      drive_is_ex_bus_uniform(1, 0);
+      drive_is_ex_bus_uniform<one_lane>(0, 0);
+      drive_is_ex_bus_uniform<one_lane>(1, 0);
     }
     if (config_.nop_zeroes_wb_bus) {
       const std::uint64_t wb_at = cycle_ + 3;
       for (std::uint8_t bus = 0; bus < 2; ++bus) {
-        const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        const std::size_t base = static_cast<std::size_t>(bus) * lanes;
+        for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
           emit_lane(l, component::wb_bus, bus, wb_bus_state_[base + l], 0,
                     wb_at);
@@ -295,8 +369,8 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     }
     if (!config_.alu_latch_holds_on_idle) {
       for (std::uint8_t latch = 0; latch < 4; ++latch) {
-        const std::size_t base = static_cast<std::size_t>(latch) * lanes_;
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        const std::size_t base = static_cast<std::size_t>(latch) * lanes;
+        for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
           emit_lane(l, component::alu_in_latch, latch,
                     alu_latch_state_[base + l], 0, cycle_ + 1);
@@ -316,15 +390,15 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
   // --- branches ---------------------------------------------------------
   if (isa::is_branch(ins)) {
-    const bool exec = agreed_exec(ins);
+    const bool exec = agreed_exec<one_lane>(ins);
     if (ins.op == opcode::bx) {
-      lane_values target;
-      read_reg(ins.op2.rm, target);
-      drive_rf_port(target);
+      values target;
+      read_reg<one_lane>(ins.op2.rm, target);
+      drive_rf_port<one_lane>(target);
       if (exec) {
         // Second checkpoint: the indirect target IS the control stream.
-        agree(target.data());
-        const auto index = prog_->index_of_address(target[leader()]);
+        const auto index =
+            prog_->index_of_address(agreed<one_lane>(target));
         if (!index) {
           halted_ = true; // return past the outermost frame
           outcome.serialize = true;
@@ -336,9 +410,9 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       const auto target = static_cast<std::size_t>(
           static_cast<std::int64_t>(pc_) + 1 + ins.branch_offset);
       if (ins.op == opcode::bl) {
-        lane_values link;
+        values link;
         link.fill(prog_->address_of(pc_ + 1));
-        retire_write(reg::lr, link, cycle_ + 1);
+        retire_write<one_lane>(reg::lr, link, cycle_ + 1);
       }
       next_pc = target;
     }
@@ -359,23 +433,23 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
   // --- memory -------------------------------------------------------------
   if (isa::is_memory(ins)) {
-    const bool exec = agreed_exec(ins);
-    lane_values base_v;
-    read_reg(ins.mem.base, base_v);
-    drive_rf_port(base_v);
-    lane_values address;
+    const bool exec = agreed_exec<one_lane>(ins);
+    values base_v;
+    read_reg<one_lane>(ins.mem.base, base_v);
+    drive_rf_port<one_lane>(base_v);
+    values address;
     if (ins.mem.reg_offset) {
-      lane_values offset_reg;
-      read_reg(ins.mem.offset_reg, offset_reg);
-      drive_rf_port(offset_reg);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      values offset_reg;
+      read_reg<one_lane>(ins.mem.offset_reg, offset_reg);
+      drive_rf_port<one_lane>(offset_reg);
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         const std::uint32_t offset = offset_reg[l] << ins.mem.offset_shift;
         address[l] = ins.mem.subtract ? base_v[l] - offset
                                       : base_v[l] + offset;
       }
     } else {
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         address[l] = ins.mem.subtract ? base_v[l] - ins.mem.offset_imm
                                       : base_v[l] + ins.mem.offset_imm;
@@ -389,13 +463,12 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
     // Third checkpoint: each lane probes its own D-cache at its own
     // address; the penalty — a shared scoreboard input — must agree.
-    std::array<int, max_batch_lanes> pen;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    lane_array<one_lane, int> pen;
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       pen[l] = dcache_[l].access(address[l]);
     }
-    agree(pen.data());
-    const int penalty = pen[leader()];
+    const int penalty = agreed<one_lane>(pen);
     const std::uint64_t mem_cycle = cycle_ + 2;
     const std::uint64_t result_ready =
         cycle_ + static_cast<std::uint64_t>(config_.lsu_latency + penalty);
@@ -406,9 +479,9 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     }
 
     if (isa::is_load(ins)) {
-      lane_values word;
-      lane_values value;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      values word;
+      values value;
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         word[l] = memory_[l].containing_word(address[l]);
         switch (ins.op) {
@@ -426,28 +499,29 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
           break;
         }
       }
-      retire_write(ins.rd, value, result_ready);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      retire_write<one_lane>(ins.rd, value, result_ready);
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_lane(l, component::mdr, 0, mdr_state_[l], word[l], mem_cycle);
         mdr_state_[l] = word[l];
       }
       if (isa::is_subword(ins) && config_.has_align_buffer) {
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
           emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
                     value[l], mem_cycle + 1);
           align_buffer_state_[l] = value[l];
         }
       }
-      write_back(slot, value, result_ready);
+      write_back<one_lane>(slot, value, result_ready);
     } else {
-      lane_values data;
-      read_reg(ins.rd, data);
-      drive_rf_port(data);
-      drive_is_ex_bus(slot == 0 ? std::uint8_t{1} : std::uint8_t{2}, data);
-      lane_values word;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      values data;
+      read_reg<one_lane>(ins.rd, data);
+      drive_rf_port<one_lane>(data);
+      drive_is_ex_bus<one_lane>(slot == 0 ? std::uint8_t{1} : std::uint8_t{2},
+                                data);
+      values word;
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         switch (ins.op) {
         case opcode::str:
@@ -468,7 +542,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         mdr_state_[l] = word[l];
       }
       if (isa::is_subword(ins) && config_.has_align_buffer) {
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
           const std::uint32_t sub = ins.op == opcode::strb
                                         ? (data[l] & 0xffU)
@@ -480,7 +554,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       }
       // Store data traverses the EX->WB path on its way to the store
       // buffer even though no register is written.
-      write_back(slot, data, cycle_ + 3);
+      write_back<one_lane>(slot, data, cycle_ + 3);
     }
     pc_ = next_pc;
     return outcome;
@@ -488,23 +562,23 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
   // --- multiply -------------------------------------------------------
   if (ins.op == opcode::mul || ins.op == opcode::mla) {
-    const bool exec = agreed_exec(ins);
-    lane_values a;
-    lane_values b;
-    read_reg(ins.rn, a);
-    read_reg(ins.op2.rm, b);
-    drive_rf_port(a);
-    drive_rf_port(b);
-    lane_values acc{};
+    const bool exec = agreed_exec<one_lane>(ins);
+    values a;
+    values b;
+    read_reg<one_lane>(ins.rn, a);
+    read_reg<one_lane>(ins.op2.rm, b);
+    drive_rf_port<one_lane>(a);
+    drive_rf_port<one_lane>(b);
+    values acc{};
     if (ins.op == opcode::mla) {
-      read_reg(ins.ra, acc);
-      drive_rf_port(acc);
+      read_reg<one_lane>(ins.ra, acc);
+      drive_rf_port<one_lane>(acc);
     }
-    drive_is_ex_bus(0, a);
-    drive_is_ex_bus(1, b);
+    drive_is_ex_bus<one_lane>(0, a);
+    drive_is_ex_bus<one_lane>(1, b);
     if (exec) {
-      lane_values result;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      values result;
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         result[l] = a[l] * b[l] + (ins.op == opcode::mla ? acc[l] : 0);
       }
@@ -514,26 +588,26 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         mul_free_ = ready;
       }
       // The multiplier lives on ALU0.
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_lane(l, component::alu_in_latch, 0, alu_latch_state_[l], a[l],
                   cycle_ + 1);
         alu_latch_state_[l] = a[l];
       }
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes_ + l],
+        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes + l],
                   b[l], cycle_ + 1);
-        alu_latch_state_[lanes_ + l] = b[l];
+        alu_latch_state_[lanes + l] = b[l];
       }
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         emit_weight_lane(l, component::alu_out, 0, result[l], ready - 1);
       }
-      retire_write(ins.rd, result, ready);
-      write_back(slot, result, ready);
+      retire_write<one_lane>(ins.rd, result, ready);
+      write_back<one_lane>(slot, result, ready);
       if (ins.set_flags) {
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
           state_[l].f.n = (result[l] >> 31) != 0;
           state_[l].f.z = result[l] == 0;
@@ -548,42 +622,46 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // --- data processing --------------------------------------------------
   const bool has_rn = !(ins.op == opcode::mov || ins.op == opcode::mvn ||
                         ins.op == opcode::movw || ins.op == opcode::movt);
-  lane_values rn_value{};
+  values rn_value{};
+  // Bus lane allocation: slot 0 uses buses 0/1 for its first/second
+  // operand; slot 1 uses bus 2 for its first register operand and falls
+  // back to bus 1 for a second one (the port budget guarantees bus 1 is
+  // then unused by slot 0).
   const std::uint8_t first_lane = slot == 0 ? std::uint8_t{0} : std::uint8_t{2};
   const std::uint8_t second_lane =
       slot == 0 ? std::uint8_t{1} : std::uint8_t{2};
   int reg_operands = 0;
 
   if (has_rn && !(ins.op == opcode::movw || ins.op == opcode::movt)) {
-    read_reg(ins.rn, rn_value);
-    drive_rf_port(rn_value);
-    drive_is_ex_bus(first_lane, rn_value);
+    read_reg<one_lane>(ins.rn, rn_value);
+    drive_rf_port<one_lane>(rn_value);
+    drive_is_ex_bus<one_lane>(first_lane, rn_value);
     ++reg_operands;
   }
 
   // Per-lane operand-2 evaluation; the *structure* (used_shifter and the
   // port/bus traffic it implies) is static per instruction, only the
   // values differ per lane.
-  lane_values op2_value{};
-  lane_values op2_pre{};
-  std::array<std::uint8_t, max_batch_lanes> op2_carry{};
+  values op2_value{};
+  values op2_pre{};
+  lane_array<one_lane, std::uint8_t> op2_carry{};
   bool used_shifter = false;
   if (ins.op == opcode::movw) {
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       op2_value[l] = ins.imm16;
     }
   } else if (ins.op == opcode::movt) {
-    lane_values old;
-    read_reg(ins.rd, old);
-    drive_rf_port(old);
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    values old;
+    read_reg<one_lane>(ins.rd, old);
+    drive_rf_port<one_lane>(old);
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       op2_value[l] = (old[l] & 0xffffU) |
                      (static_cast<std::uint32_t>(ins.imm16) << 16);
     }
   } else {
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       const operand2_value op2 = eval_operand2(
           ins, [this, l](reg r) { return state_[l].reg(r); },
@@ -594,21 +672,21 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       used_shifter = op2.used_shifter; // static: ins.op2.shift.active()
     }
     if (ins.op2.k == isa::operand2::kind::reg_shifted) {
-      drive_rf_port(op2_pre);
+      drive_rf_port<one_lane>(op2_pre);
       const std::uint8_t bus = (reg_operands == 0) ? first_lane : second_lane;
-      drive_is_ex_bus(bus, op2_pre);
+      drive_is_ex_bus<one_lane>(bus, op2_pre);
       ++reg_operands;
       if (ins.op2.shift.by_register) {
-        lane_values amount;
-        read_reg(ins.op2.shift.amount_reg, amount);
-        drive_rf_port(amount);
+        values amount;
+        read_reg<one_lane>(ins.op2.shift.amount_reg, amount);
+        drive_rf_port<one_lane>(amount);
       }
     }
   }
 
   // Per-lane predication for plain DP ops, agreement for the rest.  A
   // latency-1 DP op that writes a register and no flags has exactly one
-  // schedule effect on the per-trace pipeline: reg_ready_[rd] = cycle_+1,
+  // schedule effect on a single trace: reg_ready_[rd] = cycle_+1,
   // observable only by a same-cycle dual-issue partner reading or writing
   // rd — which statically_pairable forbids (RAW/WAW).  Its condition
   // outcome is therefore lane-local data (the AES xtime `eorne`!), not
@@ -616,31 +694,35 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // never ejects.  Shifted ops (latency > 1: the scoreboard write IS
   // observable next cycle), flag writers (flags_ready_), and conditional
   // movw/movt stay on the agreement path.
-  std::uint64_t exec_mask = active_mask_;
+  std::uint64_t exec_mask = active<one_lane>();
   if (ins.cond != isa::condition::al) {
     const bool relaxed = !used_shifter && !writes_flags(ins) &&
                          ins.op != opcode::movw && ins.op != opcode::movt;
     if (relaxed) {
       exec_mask = 0;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+      for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
         if (isa::condition_passes(ins.cond, state_[l].f)) {
           exec_mask |= std::uint64_t{1} << l;
         }
       }
-    } else if (!agreed_exec(ins)) {
+    } else if (!agreed_exec<one_lane>(ins)) {
       pc_ = next_pc;
       return outcome;
     } else {
-      exec_mask = active_mask_; // agreement may have shrunk the batch
+      exec_mask = active<one_lane>(); // agreement may have shrunk the batch
     }
   }
   if (exec_mask == 0) {
-    // No lane executes: every per-trace twin takes the early return.
+    // No lane executes: a 1-lane run of any of them returns here too.
     pc_ = next_pc;
     return outcome;
   }
 
+  // Unit binding: instructions that need the shifter or multiplier run on
+  // ALU0; otherwise slot 0 runs on ALU0 and slot 1 on ALU1.  When the
+  // younger of a dual-issued pair needs ALU0, the pairing rules guarantee
+  // the older does not.
   int alu_index;
   if (isa::needs_alu0(ins)) {
     alu_index = 0;
@@ -650,7 +732,10 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   std::uint64_t result_latency = 1;
   if (used_shifter) {
     result_latency += static_cast<std::uint64_t>(config_.shift_extra_latency);
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    // The shifter computes in EX1; its output buffer drives the ALU input
+    // during EX2 — the cycle at which the paper observes the (small)
+    // Hamming-weight leakage of the shifted value.
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_weight_lane(l, component::shift_buffer, 0, op2_value[l],
                        cycle_ + 2);
@@ -659,30 +744,30 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
   if (ins.op == opcode::movw || ins.op == opcode::movt) {
     const std::size_t latch1 =
-        static_cast<std::size_t>(alu_index * 2 + 1) * lanes_;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+        static_cast<std::size_t>(alu_index * 2 + 1) * lanes;
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_lane(l, component::alu_in_latch,
                 static_cast<std::uint8_t>(alu_index * 2 + 1),
                 alu_latch_state_[latch1 + l], op2_value[l], cycle_ + 1);
       alu_latch_state_[latch1 + l] = op2_value[l];
     }
-    retire_write(ins.rd, op2_value, cycle_ + result_latency);
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    retire_write<one_lane>(ins.rd, op2_value, cycle_ + result_latency);
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       emit_weight_lane(l, component::alu_out,
                        static_cast<std::uint8_t>(alu_index), op2_value[l],
                        cycle_ + 2);
     }
-    write_back(slot, op2_value, cycle_ + 3);
+    write_back<one_lane>(slot, op2_value, cycle_ + 3);
     pc_ = next_pc;
     return outcome;
   }
 
-  lane_values result;
-  std::array<isa::flags, max_batch_lanes> result_flags;
+  values result;
+  lane_array<one_lane, isa::flags> result_flags;
   bool writes_result = true; // static per opcode: take any active lane's
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+  for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     const alu_result r = execute_dp(ins.op, rn_value[l], op2_value[l],
                                     op2_carry[l] != 0, state_[l].f);
@@ -693,9 +778,10 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
   // ALU input latches: operand position 0 = rn, position 1 = (shifted) op2.
   // Every datapath effect below is gated per lane by exec_mask — a
-  // predicated-false lane's per-trace twin returned before this point.
-  const std::uint64_t emit_mask = active_mask_ & exec_mask;
-  const std::size_t latch_base = static_cast<std::size_t>(alu_index * 2) * lanes_;
+  // predicated-false lane's 1-lane run returned before this point.
+  const std::uint64_t emit_mask = active<one_lane>() & exec_mask;
+  const std::size_t latch_base =
+      static_cast<std::size_t>(alu_index * 2) * lanes;
   if (has_rn) {
     for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
@@ -709,9 +795,9 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
     emit_lane(l, component::alu_in_latch,
               static_cast<std::uint8_t>(alu_index * 2 + 1),
-              alu_latch_state_[latch_base + lanes_ + l], op2_value[l],
+              alu_latch_state_[latch_base + lanes + l], op2_value[l],
               cycle_ + 1);
-    alu_latch_state_[latch_base + lanes_ + l] = op2_value[l];
+    alu_latch_state_[latch_base + lanes + l] = op2_value[l];
   }
 
   for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
@@ -726,7 +812,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     // see above); the register value and WB-path events are per lane.
     reg_ready_[isa::index_of(ins.rd)] = cycle_ + result_latency;
     const auto wb_bus = static_cast<std::uint8_t>(slot);
-    const std::size_t wb_base = static_cast<std::size_t>(slot) * lanes_;
+    const std::size_t wb_base = static_cast<std::size_t>(slot) * lanes;
     for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       state_[l].set_reg(ins.rd, result[l]);
@@ -739,7 +825,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     }
   }
   if (writes_flags(ins)) {
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
+    for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       state_[l].f = result_flags[l];
     }
@@ -750,15 +836,26 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 }
 
 // ---------------------------------------------------------------------------
-// Cycle loop (pipeline::step_cycle, shared control)
+// Cycle loop (shared control)
 // ---------------------------------------------------------------------------
 
-bool batch_pipeline::step_cycle() {
+template <bool one_lane>
+void batch_pipeline::step_until(std::uint64_t limit) {
+  while (!halted_) {
+    if (cycle_ >= limit) {
+      throw util::simulation_error("pipeline exceeded the cycle budget");
+    }
+    step<one_lane>();
+  }
+}
+
+template <bool one_lane>
+bool batch_pipeline::step() {
   if (halted_) {
     return false;
   }
   active_lane_cycles_ +=
-      static_cast<std::uint64_t>(std::popcount(active_mask_));
+      static_cast<std::uint64_t>(std::popcount(active<one_lane>()));
   rf_ports_used_this_cycle_ = 0;
 
   const auto try_select = [&](std::size_t index) -> const instruction* {
@@ -790,20 +887,28 @@ bool batch_pipeline::step_cycle() {
     return !halted_;
   }
 
+  // issue() advances pc_, but the code vector is immutable, so the
+  // reference stays valid across the call.
   const instruction& older = *first;
   const std::size_t older_index = pc_;
-  const issue_outcome first_outcome = issue(older, 0);
+  const issue_outcome first_outcome = issue<one_lane>(older, 0);
 
   if (first_outcome.issued && !first_outcome.serialize && !halted_ &&
       config_.issue_width >= 2) {
+    // With perfect prediction a taken branch presents its *target* as the
+    // dual-issue partner; otherwise the redirect consumed the slot.
     bool partner_visible =
         !first_outcome.redirect || config_.perfect_branch_prediction;
     if (config_.pair_aligned_fetch_only &&
         (older_index % 2 != 0 || first_outcome.redirect)) {
+      // The fetch unit delivers aligned pairs; an odd-addressed older
+      // instruction (or a redirected stream) has no same-group partner.
       partner_visible = false;
     }
     const std::size_t younger_index = pc_;
     if (partner_visible && younger_index < prog_->code.size()) {
+      // The fall-through partner's pairability is precomputed; only a
+      // perfectly predicted taken branch presents a non-adjacent partner.
       const bool pairable =
           younger_index == older_index + 1
               ? pairable_next_[older_index] != 0
@@ -812,7 +917,7 @@ bool batch_pipeline::step_cycle() {
       if (pairable) {
         const instruction* second = try_select(younger_index);
         if (second != nullptr) {
-          issue(*second, 1);
+          issue<one_lane>(*second, 1);
           ++dual_pairs_;
         }
       }

@@ -28,14 +28,17 @@
 //     on; callers check lane_diverged() and redo those traces on a
 //     per-trace sim::backend.
 //
-// Implementations: sim::batch_pipeline (in-order; batch_pipeline.h, whose
-// per-trace counterpart sim::pipeline is a separate model) and
-// sim::batch_ooo_core (the one production OoO engine, speculation
-// included; ooo/batch_ooo_core.h — per-trace OoO runs use it with one
-// lane through sim::ooo_core, and the independent OoO check is the oracle
-// sim::ooo_reference_core).  The campaign/acquisition engines produce
-// through this interface behind a `sim_batch` knob (default on,
-// USCA_SIM_BATCH=0 selects the per-trace path) — see core/acquisition.h.
+// Implementations, one production engine per design point:
+// sim::batch_pipeline (the in-order Cortex-A7 model; batch_pipeline.h)
+// and sim::batch_ooo_core (the OoO model, speculation included;
+// ooo/batch_ooo_core.h).  Per-trace runs use the same engines with one
+// lane, through their sim::backend faces sim::pipeline and sim::ooo_core
+// (drive_face() below).  The independent checks are the oracles: the
+// functional executor for architectural state, sim::ooo_reference_core
+// for the OoO schedule, and the golden activity pins.  The campaign/
+// acquisition engines produce through this interface behind a `sim_batch`
+// knob (default on, USCA_SIM_BATCH=0 selects the per-trace path) — see
+// core/acquisition.h.
 #ifndef USCA_SIM_BATCH_SIM_H
 #define USCA_SIM_BATCH_SIM_H
 
@@ -150,6 +153,23 @@ public:
   void clear_activity_cutoff_mark() noexcept { has_cutoff_mark_ = false; }
 
 protected:
+  /// Runs `drive` with `face`'s activity buffer, marks and recording
+  /// flags handed to lane 0 of this batch, and takes them back afterwards
+  /// (exceptions included).  The per-trace faces (sim::pipeline,
+  /// sim::ooo_core) wrap every call into their 1-lane engine in this.
+  /// Pointer swaps both ways: neither buffer is copied or reallocated, so
+  /// campaign loops stay allocation-free.
+  template <typename Drive>
+  decltype(auto) drive_face(backend& face, Drive&& drive) {
+    swap_recording(face);
+    struct hand_back {
+      batch_backend* batch;
+      backend* face;
+      ~hand_back() { batch->swap_recording(*face); }
+    } guard{this, &face};
+    return drive();
+  }
+
   explicit batch_backend(std::size_t lanes)
       : lanes_(lanes == 0 ? 1 : (lanes > max_batch_lanes ? max_batch_lanes
                                                          : lanes)),
@@ -165,6 +185,29 @@ protected:
     return active_limit_ >= 64 ? ~std::uint64_t{0}
                                : (std::uint64_t{1} << active_limit_) - 1;
   }
+
+  /// The active-lane mask and the lane count as an engine's cycle stages
+  /// read them.  The stages are compiled twice: for any width, and
+  /// (`one_lane`) for lanes_ == 1, where both are the constant 1 — a
+  /// 1-lane batch's only lane is the leader, which is never ejected — so
+  /// every lane loop folds to one iteration and a per-trace run through
+  /// the engine is as fast as a scalar core.
+  template <bool one_lane>
+  std::uint64_t active() const noexcept {
+    return one_lane ? 1 : active_mask_;
+  }
+  template <bool one_lane>
+  std::size_t width() const noexcept {
+    return one_lane ? 1 : lanes_;
+  }
+
+  /// Entry agreement, run before the first cycle of every run/step: lanes
+  /// whose setup code steered pc or halted away from the leader's cannot
+  /// share the control stream and are ejected; the shared front end
+  /// starts from the leader's.
+  void sync_in() noexcept;
+  /// Publishes the shared pc/halted flag to every active lane.
+  void sync_out() noexcept;
 
   /// Lowest active lane: the lane whose data defines the shared control
   /// stream.  Never ejected, so active_mask_ never empties.
@@ -235,6 +278,12 @@ protected:
   bool has_cutoff_mark_ = false;
   bool record_activity_ = true;
   bool record_default_ = true;
+  // Shared front-end position (synced with the lanes at run boundaries).
+  std::size_t pc_ = 0;
+  bool halted_ = false;
+
+private:
+  void swap_recording(backend& face) noexcept;
 };
 
 /// Constructs a batch backend of the requested kind (batch_pipeline /

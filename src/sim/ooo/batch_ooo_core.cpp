@@ -207,28 +207,6 @@ void batch_ooo_core::warm_caches() {
   }
 }
 
-void batch_ooo_core::sync_in() {
-  // Per-lane setup may have steered a lane's pc or halted flag away from
-  // the batch (see batch_pipeline::run).
-  std::array<std::uint64_t, max_batch_lanes> entry;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    entry[l] = (static_cast<std::uint64_t>(state_[l].pc) << 1) |
-               (state_[l].halted ? 1U : 0U);
-  }
-  agree(entry.data());
-  pc_ = state_[leader()].pc;
-  halted_ = state_[leader()].halted;
-}
-
-void batch_ooo_core::sync_out() {
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    state_[l].pc = pc_;
-    state_[l].halted = halted_;
-  }
-}
-
 void batch_ooo_core::run(std::uint64_t max_cycles) {
   simulate(max_cycles);
   note_batch_run(active_limit_, active_lane_cycles_);

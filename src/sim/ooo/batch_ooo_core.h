@@ -109,7 +109,7 @@ public:
 
 private:
   // The per-trace face drives lane 0 cycle by cycle and hands its
-  // recording buffers in and out (see ooo_core.h).
+  // recording buffers in and out (batch_backend::drive_face).
   friend class ooo_core;
 
   static constexpr std::uint8_t no_reg = 0xff;
@@ -163,19 +163,12 @@ private:
 
   void reset_structures();
 
-  /// Entry agreement: lanes whose setup steered pc/halted away from the
-  /// leader's are ejected; the shared front end starts from the leader.
-  void sync_in();
-  /// Publishes the shared pc/halted flag to every active lane.
-  void sync_out();
   /// run() without the batch-occupancy telemetry (the face's run()).
   void simulate(std::uint64_t max_cycles);
   /// One cycle with lane sync (the face's step_cycle()).
   bool step_cycle();
-  /// One cycle of the engine.  The cycle stages are compiled twice: for
-  /// any width, and (`one_lane`) for lanes_ == 1, where every lane loop
-  /// folds to one iteration — per-trace runs (the face) go through the
-  /// engine at one lane, and that keeps them as fast as a scalar core.
+  /// One cycle of the engine, compiled for any width and for one lane
+  /// (batch_backend::active()).
   template <bool one_lane>
   bool step();
 
@@ -241,18 +234,6 @@ private:
   /// lane-major row).
   template <bool one_lane>
   void drive_prf_port(const std::uint32_t* values);
-
-  /// The active-lane mask and the lane count as the cycle stages read
-  /// them: compile-time 1 when `one_lane` (a 1-lane batch's only lane is
-  /// the leader, which is never ejected).
-  template <bool one_lane>
-  std::uint64_t active() const noexcept {
-    return one_lane ? 1 : active_mask_;
-  }
-  template <bool one_lane>
-  std::size_t width() const noexcept {
-    return one_lane ? 1 : lanes_;
-  }
 
   /// Emission point whose value is lane-invariant (RAT tags, RS wakeup
   /// tags): the event is computed once and appended to every active
@@ -330,10 +311,6 @@ private:
   std::vector<std::uint32_t> align_buffer_state_; // 1 per lane
   std::array<std::uint32_t, 4> rat_port_state_{};
   std::array<std::uint32_t, 4> tag_bus_state_{};
-
-  // Shared front-end position (synced with the lanes at run boundaries).
-  std::size_t pc_ = 0;
-  bool halted_ = false;
 
   // Speculation: shared front-end control plus the per-lane shadow view
   // (registers/flags seeded from each lane's state at the mispredict).

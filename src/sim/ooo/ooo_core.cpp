@@ -46,39 +46,20 @@ ooo_core::ooo_core(program_image image, micro_arch_config config)
   reference_mode.set(0);
 }
 
-void ooo_core::swap_recording() noexcept {
-  activity_.swap(lane_.activity_[0]);
-  marks_.swap(lane_.marks_);
-  std::swap(cutoff_mark_, lane_.cutoff_mark_);
-  std::swap(has_cutoff_mark_, lane_.has_cutoff_mark_);
-  std::swap(record_activity_, lane_.record_activity_);
-  std::swap(record_default_, lane_.record_default_);
-}
-
-template <typename Drive>
-decltype(auto) ooo_core::on_lane(Drive&& drive) {
-  swap_recording();
-  struct hand_back {
-    ooo_core* face;
-    ~hand_back() { face->swap_recording(); }
-  } guard{this};
-  return drive();
-}
-
 void ooo_core::reset() {
-  on_lane([this] { lane_.reset(); });
+  lane_.drive_face(*this, [this] { lane_.reset(); });
 }
 
 void ooo_core::rebind(program_image image) {
-  on_lane([&] { lane_.rebind(std::move(image)); });
+  lane_.drive_face(*this, [&] { lane_.rebind(std::move(image)); });
 }
 
 void ooo_core::run(std::uint64_t max_cycles) {
-  on_lane([&] { lane_.simulate(max_cycles); });
+  lane_.drive_face(*this, [&] { lane_.simulate(max_cycles); });
 }
 
 bool ooo_core::step_cycle() {
-  return on_lane([this] { return lane_.step_cycle(); });
+  return lane_.drive_face(*this, [this] { return lane_.step_cycle(); });
 }
 
 } // namespace usca::sim

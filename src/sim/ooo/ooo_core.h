@@ -148,14 +148,6 @@ public:
   const mem::cache& dcache() const noexcept { return lane_.dcache(0); }
 
 private:
-  /// Runs `drive` with this backend's activity buffer, marks and
-  /// recording flags handed to the lane, and takes them back afterwards
-  /// (exceptions included).  Pointer swaps both ways: neither buffer is
-  /// copied or reallocated, so campaign loops stay allocation-free.
-  template <typename Drive>
-  decltype(auto) on_lane(Drive&& drive);
-  void swap_recording() noexcept;
-
   batch_ooo_core lane_;
 };
 

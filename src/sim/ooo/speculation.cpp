@@ -95,10 +95,6 @@ speculation_config effective_speculation(const micro_arch_config& config) {
   return spec;
 }
 
-bool speculation_active(const micro_arch_config& config) {
-  return effective_speculation(config).predictor != predictor_kind::perfect;
-}
-
 // ---------------------------------------------------------------------------
 // branch_predictor
 // ---------------------------------------------------------------------------

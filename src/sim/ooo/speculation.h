@@ -98,10 +98,6 @@ std::optional<predictor_kind> spec_predictor_forced();
 /// actually run.
 speculation_config effective_speculation(const micro_arch_config& config);
 
-/// True when an OoO core built from `config` would speculate (effective
-/// predictor != perfect).
-bool speculation_active(const micro_arch_config& config);
-
 /// Branch predictor + BTB + RSB state machine.  Pure bookkeeping: the
 /// OoO core owns the activity emission, so every query/update returns
 /// the value driven onto the corresponding predictor bus (table index,

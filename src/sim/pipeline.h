@@ -1,4 +1,4 @@
-// Cycle-level model of a Cortex-A7-like superscalar in-order pipeline.
+// Per-trace face of the Cortex-A7-like superscalar in-order core model.
 //
 // The model implements the micro-architecture deduced in Section 3 of the
 // paper (Figure 2): a two-wide in-order issue stage fed by a fetch/decode
@@ -15,31 +15,32 @@
 // 100k-trace experiments of the paper while preserving cycle-accurate
 // issue behaviour — the property both the CPI exploration and the leakage
 // characterization depend on.
+//
+// One engine implements this model: sim::batch_pipeline, which advances
+// N traces through one shared issue stage.  This class is its per-trace
+// face — a sim::backend over a 1-lane batch, whose one lane is the leader
+// and so is never ejected.  The engine's cycle stages are compiled for one
+// lane as well, so per-trace runs cost what a scalar core would.  There
+// is no second in-order model to diff against; the independent checks are
+// the functional executor (architectural state, tests/sim/
+// differential_test.cpp) and the golden pins of the original scalar
+// model's exact activity (tests/sim/inorder_activity_golden_test.cpp,
+// the campaign record digests and the AES round-1 window digest).
 #ifndef USCA_SIM_PIPELINE_H
 #define USCA_SIM_PIPELINE_H
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "asmx/program.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
 #include "sim/backend.h"
+#include "sim/batch_pipeline.h"
 #include "sim/cpu_state.h"
 #include "sim/micro_arch_config.h"
 #include "sim/program_image.h"
-#include "sim/uarch_activity.h"
 
 namespace usca::sim {
-
-/// Dual-issue legality of an (older, younger) pair under `config`,
-/// ignoring dynamic operand readiness.  Shared by the per-trace pipeline
-/// and the batched SoA engine (sim/batch_pipeline.h) so the pairing rules
-/// cannot diverge between the two implementations.
-bool statically_pairable(const micro_arch_config& config,
-                         const isa::instruction& older,
-                         const isa::instruction& younger) noexcept;
 
 class pipeline final : public backend {
 public:
@@ -70,7 +71,7 @@ public:
 
   /// Touches every instruction line and the whole data image so that the
   /// measured region runs entirely from L1 — the paper's warm-up loops.
-  void warm_caches() override;
+  void warm_caches() override { lane_.warm_caches(); }
 
   /// Runs until halt (or the cycle budget is exhausted, which throws).
   void run(std::uint64_t max_cycles = 50'000'000) override;
@@ -78,88 +79,36 @@ public:
   /// Advances one cycle; returns false once halted.
   bool step_cycle() override;
 
-  cpu_state& state() noexcept override { return state_; }
-  const cpu_state& state() const noexcept override { return state_; }
+  cpu_state& state() noexcept override { return lane_.state(0); }
+  const cpu_state& state() const noexcept override { return lane_.state(0); }
   /// The simulated program (shared, immutable).
-  const asmx::program& program() const noexcept override { return *prog_; }
-  mem::memory& memory() noexcept override { return memory_; }
-  const mem::memory& memory() const noexcept override { return memory_; }
-  const micro_arch_config& config() const noexcept { return config_; }
+  const asmx::program& program() const noexcept override {
+    return lane_.program();
+  }
+  mem::memory& memory() noexcept override { return lane_.memory(0); }
+  const mem::memory& memory() const noexcept override {
+    return lane_.memory(0);
+  }
+  const micro_arch_config& config() const noexcept { return lane_.config(); }
 
-  std::uint64_t cycles() const noexcept override { return cycle_; }
+  std::uint64_t cycles() const noexcept override { return lane_.cycles(); }
   /// Instructions issued, nops and condition-failed instructions included.
   std::uint64_t instructions_issued() const noexcept override {
-    return issued_;
+    return lane_.instructions_issued();
   }
   /// Number of cycles in which two instructions were issued together.
-  std::uint64_t dual_issue_pairs() const noexcept { return dual_pairs_; }
+  std::uint64_t dual_issue_pairs() const noexcept {
+    return lane_.dual_issue_pairs();
+  }
 
   /// Backend-wide stamp type (kept as a nested alias for existing users).
   using mark_stamp = sim::mark_stamp;
 
-  const mem::cache& icache() const noexcept { return icache_; }
-  const mem::cache& dcache() const noexcept { return dcache_; }
-
-  /// Dual-issue legality of an (older, younger) pair under this
-  /// configuration, ignoring dynamic operand readiness.  Exposed so the
-  /// CPI explorer can cross-check inferred against configured behaviour.
-  bool statically_pairable(const isa::instruction& older,
-                           const isa::instruction& younger) const noexcept;
+  const mem::cache& icache() const noexcept { return lane_.icache(); }
+  const mem::cache& dcache() const noexcept { return lane_.dcache(0); }
 
 private:
-  struct issue_outcome {
-    bool issued = false;
-    bool redirect = false; ///< taken branch to a non-fall-through target
-    bool serialize = false; ///< mark/halt: nothing may pair or follow
-  };
-
-  bool operands_ready(std::size_t index) const noexcept;
-  bool unit_available(std::size_t index) const noexcept;
-  issue_outcome issue(const isa::instruction& ins, int slot);
-  void derive_pairability();
-
-  void drive_rf_port(std::uint32_t value);
-  void drive_is_ex_bus(std::uint8_t lane, std::uint32_t value);
-  void write_back(int slot, std::uint32_t value, std::uint64_t at_cycle);
-
-  std::uint32_t read_reg(isa::reg r) const noexcept {
-    return state_.reg(r);
-  }
-  void retire_write(isa::reg r, std::uint32_t value,
-                    std::uint64_t ready_at) noexcept;
-
-  program_image image_;
-  const asmx::program* prog_ = nullptr; ///< = &image_.prog()
-  /// pairable_next_[i]: statically_pairable(code[i], code[i+1]) — the only
-  /// pairing the aligned fetch stream presents for non-redirecting code,
-  /// cached so the issue stage does not re-derive it every cycle.
-  std::vector<std::uint8_t> pairable_next_;
-  micro_arch_config config_;
-  mem::memory memory_;
-  mem::cache icache_;
-  mem::cache dcache_;
-  cpu_state state_;
-
-  // Scoreboard.
-  std::array<std::uint64_t, isa::num_registers> reg_ready_{};
-  std::uint64_t flags_ready_ = 0;
-  std::uint64_t lsu_free_ = 0;
-  std::uint64_t mul_free_ = 0;
-  std::uint64_t fetch_ready_ = 0;
-
-  // Micro-architectural state registers (leakage sources).
-  std::array<std::uint32_t, 3> rf_port_state_{};
-  std::array<std::uint32_t, 3> is_ex_bus_state_{};
-  std::array<std::uint32_t, 4> alu_latch_state_{};
-  std::array<std::uint32_t, 2> ex_wb_latch_state_{};
-  std::array<std::uint32_t, 2> wb_bus_state_{};
-  std::uint32_t mdr_state_ = 0;
-  std::uint32_t align_buffer_state_ = 0;
-
-  std::uint64_t cycle_ = 0;
-  std::uint64_t issued_ = 0;
-  std::uint64_t dual_pairs_ = 0;
-  int rf_ports_used_this_cycle_ = 0;
+  batch_pipeline lane_;
 };
 
 } // namespace usca::sim

@@ -1,11 +1,15 @@
 // Bit-identity contract of the batched SoA engines (sim/batch_sim.h):
 // every surviving lane of a batch run must produce EXACTLY the activity
 // stream, marks, cycle count, and architectural state of a per-trace run
-// of the reference backend with the same inputs — at every batch size,
-// on both backends.  The AES campaign workload must never eject a lane
-// (its schedule is data-independent by construction); random conditional
-// programs exercise the ejection protocol, where the leader must always
-// survive and every non-ejected lane must still match per-trace exactly.
+// (make_backend: the engine's 1-lane face) with the same inputs — at every
+// batch size, on both backends.  The AES campaign workload must never
+// eject a lane (its schedule is data-independent by construction); random
+// conditional programs exercise the ejection protocol, where the leader
+// must always survive and every non-ejected lane must still match
+// per-trace exactly.  These compare lane counts of one engine; what ties
+// the engine to the model's exact output across versions is the golden
+// pins (inorder_activity_golden_test.cpp, ooo_activity_golden_test.cpp)
+// and, for OoO, the oracle sim::ooo_reference_core.
 #include <gtest/gtest.h>
 
 #include <array>

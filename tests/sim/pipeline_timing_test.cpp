@@ -210,7 +210,7 @@ TEST(PipelineTiming, DualIssueCounterTracksPairs) {
 
 // Static pairing predicate: the Table-1 cells plus hazard rules.
 TEST(PipelinePairing, TableCells) {
-  pipeline pipe(asmx::program_builder().build(), cortex_a7());
+  const micro_arch_config config = cortex_a7();
   const auto mov_a = mk::mov(reg::r1, reg::r2);
   const auto mov_b = mk::mov(reg::r3, reg::r4);
   const auto alu_a = mk::add(reg::r1, reg::r2, reg::r3);
@@ -220,44 +220,43 @@ TEST(PipelinePairing, TableCells) {
   const auto shift_b = mk::lsl(reg::r4, reg::r5, 2);
   const auto ldr_b = mk::ldr(reg::r4, reg::r9);
 
-  EXPECT_TRUE(pipe.statically_pairable(mov_a, mov_b));
-  EXPECT_TRUE(pipe.statically_pairable(mov_a, alu_b));
-  EXPECT_FALSE(pipe.statically_pairable(alu_a, alu_b));
-  EXPECT_TRUE(pipe.statically_pairable(alu_a, imm_b));
-  EXPECT_FALSE(pipe.statically_pairable(alu_a, mul_b));
-  EXPECT_FALSE(pipe.statically_pairable(mov_a, ldr_b));
-  EXPECT_TRUE(pipe.statically_pairable(ldr_b, mov_a));
-  EXPECT_TRUE(pipe.statically_pairable(mov_a, shift_b));
-  EXPECT_FALSE(pipe.statically_pairable(shift_b, mov_a));
-  EXPECT_FALSE(pipe.statically_pairable(mk::nop(), mov_b));
-  EXPECT_FALSE(pipe.statically_pairable(mov_a, mk::nop()));
+  EXPECT_TRUE(statically_pairable(config, mov_a, mov_b));
+  EXPECT_TRUE(statically_pairable(config, mov_a, alu_b));
+  EXPECT_FALSE(statically_pairable(config, alu_a, alu_b));
+  EXPECT_TRUE(statically_pairable(config, alu_a, imm_b));
+  EXPECT_FALSE(statically_pairable(config, alu_a, mul_b));
+  EXPECT_FALSE(statically_pairable(config, mov_a, ldr_b));
+  EXPECT_TRUE(statically_pairable(config, ldr_b, mov_a));
+  EXPECT_TRUE(statically_pairable(config, mov_a, shift_b));
+  EXPECT_FALSE(statically_pairable(config, shift_b, mov_a));
+  EXPECT_FALSE(statically_pairable(config, mk::nop(), mov_b));
+  EXPECT_FALSE(statically_pairable(config, mov_a, mk::nop()));
 }
 
 TEST(PipelinePairing, HazardRules) {
-  pipeline pipe(asmx::program_builder().build(), cortex_a7());
+  const micro_arch_config config = cortex_a7();
   // RAW: younger reads older's destination.
-  EXPECT_FALSE(pipe.statically_pairable(mk::mov(reg::r1, reg::r2),
-                                        mk::mov(reg::r3, reg::r1)));
+  EXPECT_FALSE(statically_pairable(config, mk::mov(reg::r1, reg::r2),
+                                   mk::mov(reg::r3, reg::r1)));
   // WAW: same destination.
-  EXPECT_FALSE(pipe.statically_pairable(mk::mov(reg::r1, reg::r2),
-                                        mk::mov(reg::r1, reg::r4)));
+  EXPECT_FALSE(statically_pairable(config, mk::mov(reg::r1, reg::r2),
+                                   mk::mov(reg::r1, reg::r4)));
   // Flag dependency: older sets flags, younger is conditional.
   instruction setter = mk::add(reg::r1, reg::r2, reg::r3);
   setter.set_flags = true;
-  EXPECT_FALSE(pipe.statically_pairable(
-      setter, mk::mov(reg::r4, reg::r5, isa::condition::eq)));
+  EXPECT_FALSE(statically_pairable(
+      config, setter, mk::mov(reg::r4, reg::r5, isa::condition::eq)));
 }
 
 TEST(PipelinePairing, StructuralPolicyDiffersFromTable) {
   micro_arch_config structural = cortex_a7();
   structural.policy = issue_policy::structural;
-  pipeline pipe(asmx::program_builder().build(), structural);
   // mov + ldr is forbidden by the A7 issue PLA but fits the raw
   // structural resources — the ablation point of the paper's thesis.
-  EXPECT_TRUE(pipe.statically_pairable(mk::mov(reg::r1, reg::r2),
-                                       mk::ldr(reg::r4, reg::r9)));
-  EXPECT_FALSE(pipe.statically_pairable(mk::ldr(reg::r1, reg::r8),
-                                        mk::ldr(reg::r4, reg::r9)));
+  EXPECT_TRUE(statically_pairable(structural, mk::mov(reg::r1, reg::r2),
+                                  mk::ldr(reg::r4, reg::r9)));
+  EXPECT_FALSE(statically_pairable(structural, mk::ldr(reg::r1, reg::r8),
+                                   mk::ldr(reg::r4, reg::r9)));
 }
 
 } // namespace

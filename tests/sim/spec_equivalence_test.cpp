@@ -391,7 +391,8 @@ TEST(SpecEnvKnob, OverridesConfigLive) {
     // A default (perfect) config now speculates...
     ooo_core core(crypto::generate_aes128_program().prog, cortex_a7_ooo());
     EXPECT_EQ(core.speculation().predictor, predictor_kind::gshare);
-    EXPECT_TRUE(speculation_active(cortex_a7_ooo()));
+    EXPECT_EQ(effective_speculation(cortex_a7_ooo()).predictor,
+              predictor_kind::gshare);
   }
   ASSERT_EQ(setenv("USCA_SPEC_PREDICTOR", "perfect", 1), 0);
   {
@@ -400,12 +401,13 @@ TEST(SpecEnvKnob, OverridesConfigLive) {
         cortex_a7_ooo_spec(spec_of(predictor_kind::gshare));
     ooo_core core(crypto::generate_aes128_program().prog, arch);
     EXPECT_EQ(core.speculation().predictor, predictor_kind::perfect);
-    EXPECT_FALSE(speculation_active(arch));
+    EXPECT_EQ(effective_speculation(arch).predictor, predictor_kind::perfect);
   }
   ASSERT_EQ(setenv("USCA_SPEC_PREDICTOR", "totally-bogus", 1), 0);
-  EXPECT_THROW(speculation_active(cortex_a7_ooo()), util::simulation_error);
+  EXPECT_THROW(effective_speculation(cortex_a7_ooo()), util::simulation_error);
   ASSERT_EQ(unsetenv("USCA_SPEC_PREDICTOR"), 0);
-  EXPECT_FALSE(speculation_active(cortex_a7_ooo()));
+  EXPECT_EQ(effective_speculation(cortex_a7_ooo()).predictor,
+            predictor_kind::perfect);
 }
 
 TEST(SpecValidation, RejectsOutOfRangeConfigs) {
