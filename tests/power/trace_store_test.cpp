@@ -464,5 +464,47 @@ TEST(TraceStore, ResumeOfMissingOrEmptyFileCreates) {
   std::remove(path.c_str());
 }
 
+TEST(TraceStore, ResumeKeepsOnlyThePrefixBeforeAMidChainDamagedChunk) {
+  // Bit rot in chunk 1 of 4 with intact chunks after it: a salvage walk
+  // would serve chunks 0, 2 and 3, but resume() may keep only the run of
+  // chunks before the first damaged byte.  Everything from chunk 1 on is
+  // quarantined and cut, and re-appending the lost records reproduces
+  // the uninterrupted file byte for byte.
+  const std::string full_path = temp_path("middamage_full");
+  const std::string path = temp_path("middamage");
+  const std::size_t n = 29; // chunks of 8: 3 full + 5-record tail
+  for (const std::string& p : {full_path, path}) {
+    auto writer = trace_store_writer::create(p, small_desc());
+    write_records(writer, 0, n, 2, 5);
+    writer.close();
+  }
+  const std::uint64_t record_bytes = (2 + 5) * sizeof(double);
+  const std::uint64_t chunk1 = 64 + 32 + 8 * record_bytes;
+  std::string damaged = file_bytes(path);
+  damaged[chunk1 + 32 + 100] ^= 0x08; // chunk 1's payload
+  std::ofstream(path, std::ios::binary) << damaged;
+  {
+    const trace_store_reader salvaged(path, store_open_mode::salvage);
+    ASSERT_EQ(salvaged.chunk_count(), 3u); // chunks 0, 2 and 3 survive
+  }
+
+  store_resume_report report;
+  {
+    auto writer = trace_store_writer::resume(
+        path, small_desc(), store_resume_options{true}, &report);
+    EXPECT_EQ(writer.next_index(), 8u);
+    write_records(writer, 8, n - 8, 2, 5);
+    writer.close();
+  }
+  EXPECT_EQ(report.intact_records, 8u);
+  EXPECT_EQ(report.truncated_bytes, damaged.size() - chunk1);
+  ASSERT_EQ(report.quarantine_path, path + ".quarantine");
+  EXPECT_EQ(file_bytes(report.quarantine_path), damaged.substr(chunk1));
+  EXPECT_EQ(file_bytes(path), file_bytes(full_path));
+  std::remove(report.quarantine_path.c_str());
+  std::remove(full_path.c_str());
+  std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace usca::power
