@@ -26,9 +26,10 @@
 // runnable from the shell.
 //
 // `verify` is the health checker (machine-readable: one JSON object on
-// stdout, exit 0 = healthy): a trace store is opened in salvage mode
-// and its damage map printed; a fabric manifest is walked lease by
-// lease with every shard probed strict-then-salvage.
+// stdout, exit 0 = healthy): a trace store (power::has_store_magic) is
+// opened in salvage mode and its damage map printed; anything else is
+// parsed by core::parse_manifest, the coordinator's own parser, and
+// walked lease by lease with every shard probed strict-then-salvage.
 //
 // `status` is the live campaign monitor: it renders manifest + worker
 // heartbeats (`<shard>.hb`, written by every worker every 250 ms) as
@@ -47,7 +48,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <string_view>
@@ -454,48 +454,6 @@ int verify_store(const std::string& path, bool strict) {
   }
 }
 
-// Stand-alone manifest parse: the coordinator's loader requires the
-// campaign config for binding validation, but health checks and status
-// views must work from the manifest alone.
-struct manifest_lease {
-  std::uint64_t id = 0, first_index = 0, traces = 0, attempts = 0;
-  std::string state;
-  std::string shard;
-};
-
-struct manifest_view {
-  std::vector<std::pair<std::string, std::uint64_t>> config; ///< in order
-  std::vector<manifest_lease> leases;
-  bool malformed_lines = false;
-};
-
-bool parse_manifest(FILE* in, manifest_view& mv) {
-  char line[4096];
-  if (!std::fgets(line, sizeof(line), in) ||
-      std::strncmp(line, "usca-fabric-manifest 1", 22) != 0) {
-    return false;
-  }
-  while (std::fgets(line, sizeof(line), in)) {
-    char key[32];
-    unsigned long long a = 0, b = 0, c = 0, d = 0;
-    char state[16], shard[3072];
-    if (std::sscanf(line, "%31s", key) != 1) {
-      continue;
-    }
-    if (std::strcmp(key, "lease") == 0) {
-      if (std::sscanf(line, "lease %llu %llu %llu %llu %15s %3071[^\n]", &a,
-                      &b, &c, &d, state, shard) != 6) {
-        mv.malformed_lines = true;
-        continue;
-      }
-      mv.leases.push_back(manifest_lease{a, b, c, d, state, shard});
-    } else if (std::sscanf(line, "%31s %llu", key, &a) == 2) {
-      mv.config.emplace_back(key, a);
-    }
-  }
-  return true;
-}
-
 /// Shard paths in the manifest are relative to the coordinator's cwd;
 /// resolving against the manifest's parent directory lets `verify` and
 /// `status` run from anywhere as long as the campaign tree moved as a
@@ -515,7 +473,8 @@ std::string resolve_shard(const std::string& manifest_path,
 /// Strict-then-salvage shard probe shared by `verify` and `status
 /// --probe`; returns the status word and fills `detail` when useful.
 std::string probe_shard(const std::string& shard,
-                        const manifest_lease& lease, std::string& detail) {
+                        const core::fabric_lease& lease,
+                        std::string& detail) {
   try {
     const power::trace_store_reader reader(shard);
     if (reader.first_index() != lease.first_index ||
@@ -538,15 +497,17 @@ std::string probe_shard(const std::string& shard,
   }
 }
 
-int verify_manifest(const std::string& path, FILE* in) {
-  manifest_view mv;
+int verify_manifest(const std::string& path) {
   util::json_writer w;
   w.begin_object();
   w.member("kind", "manifest");
   w.member("path", path);
-  if (!parse_manifest(in, mv)) {
+  core::fabric_manifest mv;
+  try {
+    mv = core::parse_manifest(path);
+  } catch (const util::usca_error& e) {
     w.member("ok", false);
-    w.member("error", "bad magic line");
+    w.member("error", e.what());
     w.end_object();
     print_json(w);
     return 1;
@@ -554,14 +515,14 @@ int verify_manifest(const std::string& path, FILE* in) {
   for (const auto& [key, value] : mv.config) {
     w.member(key, value);
   }
-  bool healthy = !mv.malformed_lines;
+  bool healthy = true;
   util::json_writer leases;
   leases.begin_array();
-  for (const manifest_lease& lease : mv.leases) {
+  for (const core::fabric_lease& lease : mv.leases) {
     std::string detail;
     const std::string status =
-        probe_shard(resolve_shard(path, lease.shard), lease, detail);
-    if (lease.state != "done" || status != "valid") {
+        probe_shard(resolve_shard(path, lease.shard_path), lease, detail);
+    if (lease.state != core::lease_state::done || status != "valid") {
       healthy = false;
     }
     leases.begin_object();
@@ -569,8 +530,8 @@ int verify_manifest(const std::string& path, FILE* in) {
     leases.member("first_index", lease.first_index);
     leases.member("traces", lease.traces);
     leases.member("attempts", lease.attempts);
-    leases.member("state", lease.state);
-    leases.member("shard", lease.shard);
+    leases.member("state", core::lease_state_name(lease.state));
+    leases.member("shard", lease.shard_path);
     leases.member("shard_status", status);
     if (!detail.empty()) {
       leases.member("detail", detail);
@@ -604,31 +565,10 @@ int run_verify(int argc, char** argv) {
     std::fprintf(stderr, "verify: a store or manifest path is required\n");
     return 2;
   }
-  FILE* in = std::fopen(path.c_str(), "rb");
-  if (!in) {
-    util::json_writer w;
-    w.begin_object();
-    w.member("path", path);
-    w.member("ok", false);
-    w.member("error", "cannot open");
-    w.end_object();
-    print_json(w);
-    return 1;
-  }
-  // Trace stores start with "USCATRC2", manifests with
-  // "usca-fabric-manifest" — the first bytes pick the walker.
-  char magic[8] = {};
-  const std::size_t got = std::fread(magic, 1, sizeof(magic), in);
-  std::rewind(in);
-  int rc;
-  if (got >= 8 && std::strncmp(magic, "USCATRC", 7) == 0) {
-    std::fclose(in);
-    rc = verify_store(path, strict);
-  } else {
-    rc = verify_manifest(path, in);
-    std::fclose(in);
-  }
-  return rc;
+  // The store magic picks the walker; anything else must parse as a
+  // manifest.
+  return power::has_store_magic(path) ? verify_store(path, strict)
+                                      : verify_manifest(path);
 }
 
 // -------------------------------------------------------------- status
@@ -690,18 +630,16 @@ int run_status(int argc, char** argv) {
     return 2;
   }
   const std::string manifest = resolve_manifest(path);
-  FILE* in = manifest.empty() ? nullptr : std::fopen(manifest.c_str(), "rb");
-  if (in == nullptr) {
+  if (manifest.empty()) {
     std::fprintf(stderr, "status: no fabric manifest at '%s'\n",
                  path.c_str());
     return 1;
   }
-  manifest_view mv;
-  const bool parsed = parse_manifest(in, mv);
-  std::fclose(in);
-  if (!parsed) {
-    std::fprintf(stderr, "status: '%s' is not a fabric manifest\n",
-                 manifest.c_str());
+  core::fabric_manifest mv;
+  try {
+    mv = core::parse_manifest(manifest);
+  } catch (const util::usca_error& e) {
+    std::fprintf(stderr, "status: %s\n", e.what());
     return 1;
   }
 
@@ -713,20 +651,20 @@ int run_status(int argc, char** argv) {
   std::size_t live_workers = 0;
   util::json_writer leases;
   leases.begin_array();
-  for (const manifest_lease& lease : mv.leases) {
+  for (const core::fabric_lease& lease : mv.leases) {
     total_traces += lease.traces;
-    if (lease.state == "done") {
+    if (lease.state == core::lease_state::done) {
       ++done_leases;
       done_traces += lease.traces;
     }
-    const std::string shard = resolve_shard(manifest, lease.shard);
+    const std::string shard = resolve_shard(manifest, lease.shard_path);
     leases.begin_object();
     leases.member("id", lease.id);
     leases.member("first_index", lease.first_index);
     leases.member("traces", lease.traces);
     leases.member("attempts", lease.attempts);
-    leases.member("state", lease.state);
-    leases.member("shard", lease.shard);
+    leases.member("state", core::lease_state_name(lease.state));
+    leases.member("shard", lease.shard_path);
     const auto hb = core::read_heartbeat(core::heartbeat_path(shard));
     if (hb) {
       const bool running =

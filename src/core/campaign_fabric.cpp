@@ -218,31 +218,19 @@ campaign_fabric::campaign_fabric(fabric_config config)
   }
 }
 
-bool campaign_fabric::load_manifest() {
-  std::ifstream in(config_.manifest_path);
-  if (!in.is_open()) {
-    return false;
-  }
-  const std::string& path = config_.manifest_path;
+fabric_manifest parse_manifest(const std::string& path) {
   auto bad = [&path](const std::string& what) {
     fail("fabric manifest '" + path + "': " + what);
   };
-
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    bad("cannot open");
+  }
   std::string line;
   if (!std::getline(in, line) || line != "usca-fabric-manifest 1") {
     bad("bad magic line (not a fabric manifest, or a newer version)");
   }
-
-  auto check_binding = [&bad](const std::string& key, std::uint64_t stored,
-                              std::uint64_t expected) {
-    if (stored != expected) {
-      bad("was written for " + key + " " + std::to_string(stored) +
-          ", this campaign has " + std::to_string(expected) +
-          " (refusing to mix trace populations)");
-    }
-  };
-
-  std::vector<fabric_lease> leases;
+  fabric_manifest manifest;
   while (std::getline(in, line)) {
     if (line.empty()) {
       continue;
@@ -256,17 +244,7 @@ bool campaign_fabric::load_manifest() {
       if (!(iss >> value)) {
         bad("malformed '" + key + "' line");
       }
-      if (key == "config_hash") {
-        check_binding(key, value, config_.config_hash);
-      } else if (key == "seed") {
-        check_binding(key, value, config_.seed);
-      } else if (key == "first_index") {
-        check_binding(key, value, config_.first_index);
-      } else if (key == "traces") {
-        check_binding(key, value, config_.traces);
-      } else {
-        check_binding(key, value, config_.lease_traces);
-      }
+      manifest.config.emplace_back(key, value);
     } else if (key == "lease") {
       fabric_lease lease;
       std::string state;
@@ -282,25 +260,52 @@ bool campaign_fabric::load_manifest() {
       if (lease.shard_path.empty()) {
         bad("lease " + std::to_string(lease.id) + " has no shard path");
       }
-      if (state == "pending" || state == "leased") {
-        // `leased` means the previous coordinator died with the worker
-        // in flight — the shard resumes, so just re-issue.
+      if (state == "pending") {
         lease.state = lease_state::pending;
+      } else if (state == "leased") {
+        lease.state = lease_state::leased;
       } else if (state == "done") {
         lease.state = lease_state::done;
       } else {
         bad("lease " + std::to_string(lease.id) + " has unknown state '" +
             state + "'");
       }
-      leases.push_back(std::move(lease));
+      manifest.leases.push_back(std::move(lease));
     } else {
       bad("unknown line: '" + line + "'");
+    }
+  }
+  return manifest;
+}
+
+bool campaign_fabric::load_manifest() {
+  const std::string& path = config_.manifest_path;
+  if (::access(path.c_str(), F_OK) != 0) {
+    return false;
+  }
+  auto bad = [&path](const std::string& what) {
+    fail("fabric manifest '" + path + "': " + what);
+  };
+  fabric_manifest manifest = parse_manifest(path);
+
+  for (const auto& [key, stored] : manifest.config) {
+    const std::uint64_t expected =
+        key == "config_hash"   ? config_.config_hash
+        : key == "seed"        ? config_.seed
+        : key == "first_index" ? config_.first_index
+        : key == "traces"      ? config_.traces
+                               : config_.lease_traces;
+    if (stored != expected) {
+      bad("was written for " + key + " " + std::to_string(stored) +
+          ", this campaign has " + std::to_string(expected) +
+          " (refusing to mix trace populations)");
     }
   }
 
   // The lease split is a pure function of (first_index, traces,
   // lease_traces); a manifest whose split disagrees was tampered with or
   // truncated mid-rewrite (which the atomic rename should prevent).
+  std::vector<fabric_lease>& leases = manifest.leases;
   const std::size_t count =
       (config_.traces + config_.lease_traces - 1) / config_.lease_traces;
   if (leases.size() != count) {
@@ -308,13 +313,18 @@ bool campaign_fabric::load_manifest() {
         std::to_string(count));
   }
   for (std::size_t i = 0; i < count; ++i) {
-    const fabric_lease& lease = leases[i];
+    fabric_lease& lease = leases[i];
     const std::size_t first = config_.first_index + i * config_.lease_traces;
     const std::size_t traces = std::min(
         config_.lease_traces, config_.traces - i * config_.lease_traces);
     if (lease.id != i || lease.first_index != first ||
         lease.traces != traces) {
       bad("lease " + std::to_string(i) + " does not match the campaign split");
+    }
+    if (lease.state == lease_state::leased) {
+      // The previous coordinator died with the worker in flight — the
+      // shard resumes, so just re-issue.
+      lease.state = lease_state::pending;
     }
   }
   leases_ = std::move(leases);

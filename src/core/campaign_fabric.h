@@ -14,6 +14,9 @@
 //    config hash and seed, atomically rewritten (tmp + fsync + rename)
 //    on every transition, so a killed coordinator resumes exactly where
 //    it died: done leases stay done, in-flight leases are re-issued.
+//    parse_manifest() is the format's one parser: the coordinator's
+//    reload binds its result to the campaign, and the usca_fabric
+//    `verify` and `status` tools read it unbound.
 //  * A coordinator loop hands leases to workers (up to `workers`
 //    concurrently), detects crashes (worker exit) and stragglers (lease
 //    deadline -> SIGKILL), and re-issues failed ranges with capped
@@ -42,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace usca::core {
@@ -62,6 +66,21 @@ struct fabric_lease {
   lease_state state = lease_state::pending;
   std::string shard_path;
 };
+
+/// A fabric manifest as stored, before it is bound to a campaign: the
+/// config key/values in file order and every lease with its stored
+/// state (`leased` included) and shard path as written.
+struct fabric_manifest {
+  std::vector<std::pair<std::string, std::uint64_t>> config;
+  std::vector<fabric_lease> leases;
+};
+
+/// The one parser of the manifest format.  The coordinator adds the
+/// campaign binding and split checks on top; tools that read a manifest
+/// alone (`usca_fabric verify` and `status`) use it as is.  Throws
+/// util::analysis_error naming `path` when the file cannot be read, or
+/// on a bad magic line or any malformed or unknown line.
+fabric_manifest parse_manifest(const std::string& path);
 
 /// Point-in-time coordinator view handed to fabric_config::on_progress:
 /// enough to render a progress line (done trace count, live workers)

@@ -4,65 +4,25 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <fstream>
 #include <ostream>
 #include <utility>
 
-#include "util/crc32.h"
+#include "power/trace_store_format.h"
+#include "power/trace_store_reader.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/telemetry.h"
 
 namespace usca::power {
 
-static_assert(std::endian::native == std::endian::little,
-              "the trace store is defined little endian and this "
-              "implementation serializes by memcpy");
-
 namespace {
 
-// ------------------------------------------------------- store constants
-
-constexpr char store_magic[8] = {'U', 'S', 'C', 'A', 'T', 'R', 'C', '2'};
-constexpr std::uint32_t store_version = 2;
-constexpr std::uint32_t chunk_magic = 0x4b4e4843; // "CHNK"
-constexpr std::size_t file_header_bytes = 64;
-constexpr std::size_t chunk_header_bytes = 32;
-
-std::size_t scalar_bytes(trace_scalar scalar) noexcept {
-  return scalar == trace_scalar::f32 ? 4 : 8;
-}
-
-template <typename T>
-void put(unsigned char* buf, std::size_t offset, T value) noexcept {
-  std::memcpy(buf + offset, &value, sizeof value);
-}
-
-template <typename T> T get(const unsigned char* buf, std::size_t offset) {
-  T value{};
-  std::memcpy(&value, buf + offset, sizeof value);
-  return value;
-}
-
-/// Serializes the 64-byte file header (including its CRC).
-void encode_file_header(const trace_store_descriptor& desc,
-                        unsigned char (&buf)[file_header_bytes]) {
-  std::memset(buf, 0, sizeof buf);
-  std::memcpy(buf, store_magic, sizeof store_magic);
-  put(buf, 8, store_version);
-  put(buf, 12, static_cast<std::uint32_t>(desc.scalar));
-  put(buf, 16, desc.samples);
-  put(buf, 24, desc.labels);
-  put(buf, 28, desc.chunk_traces);
-  put(buf, 32, desc.seed);
-  put(buf, 40, desc.config_hash);
-  put(buf, 48, desc.first_index);
-  put(buf, 56, std::uint32_t{0}); // reserved
-  put(buf, 60, util::crc32(buf, 60));
-}
+using store_format::chunk_header_bytes;
+using store_format::file_header_bytes;
 
 void full_write(int fd, const void* data, std::size_t size,
                 const std::string& path) {
@@ -81,31 +41,23 @@ void full_write(int fd, const void* data, std::size_t size,
   }
 }
 
-bool full_pread(int fd, void* data, std::size_t size, std::uint64_t offset) {
-  auto* bytes = static_cast<unsigned char*>(data);
-  while (size > 0) {
-    const ssize_t n =
-        ::pread(fd, bytes, size, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    if (n == 0) {
-      return false; // short file
-    }
-    bytes += n;
-    size -= static_cast<std::size_t>(n);
-    offset += static_cast<std::uint64_t>(n);
+/// Reads `size` bytes at `offset` of `path`, or throws naming `what`.
+void read_range(const std::string& path, std::uint64_t offset, void* data,
+                std::size_t size, const char* what) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
+  if (in.gcount() != static_cast<std::streamsize>(size)) {
+    throw util::analysis_error("cannot read " + std::string(what) + " of '" +
+                               path + "'");
   }
-  return true;
 }
 
 } // namespace
 
 std::uint64_t trace_store_descriptor::record_bytes() const noexcept {
-  return std::uint64_t{labels} * 8 + samples * scalar_bytes(scalar);
+  return std::uint64_t{labels} * 8 +
+         samples * (scalar == trace_scalar::f32 ? 4 : 8);
 }
 
 // ------------------------------------------------------------- writer
@@ -115,6 +67,9 @@ trace_store_writer::trace_store_writer(std::string path,
     : path_(std::move(path)), desc_(desc) {
   if (desc_.chunk_traces == 0) {
     throw util::analysis_error("trace store chunk_traces must be positive");
+  }
+  if (desc_.samples != 0) { // refuse a shape the reader would reject
+    store_format::check_shape(desc_, path_);
   }
 }
 
@@ -168,135 +123,62 @@ trace_store_writer::resume(const std::string& path,
   if (report != nullptr) {
     *report = store_resume_report{};
   }
-  trace_store_writer writer(path, desc);
-  const int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) {
-    return create(path, desc); // missing file: fresh store
-  }
-  writer.fd_ = fd;
-  try {
-    writer.resume_existing(path, desc, options, report);
-  } catch (...) {
-    // Release the descriptor without going through close(): a rejected
-    // file (foreign configuration, not a store at all) must be left
-    // untouched, and close() would stamp a deferred header over its
-    // first bytes.
-    ::close(writer.fd_);
-    writer.fd_ = -1;
-    throw;
-  }
-  return writer;
-}
-
-void trace_store_writer::resume_existing(const std::string& path,
-                                         const trace_store_descriptor& desc,
-                                         const store_resume_options& options,
-                                         store_resume_report* report) {
-  const int fd = fd_;
   struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    throw util::analysis_error("cannot stat '" + path + "'");
+  if (::stat(path.c_str(), &st) != 0 || st.st_size == 0) {
+    return create(path, desc); // missing or empty file: fresh store
   }
   const auto file_size = static_cast<std::uint64_t>(st.st_size);
-  if (file_size == 0) {
-    return; // empty file: behaves like create()
-  }
 
-  unsigned char header[file_header_bytes];
-  if (file_size < file_header_bytes ||
-      !full_pread(fd, header, sizeof header, 0)) {
-    throw util::analysis_error("'" + path + "' is not a usca trace store "
-                               "(short header)");
-  }
-  if (std::memcmp(header, store_magic, sizeof store_magic) != 0 ||
-      get<std::uint32_t>(header, 8) != store_version) {
-    throw util::analysis_error("'" + path + "' is not a version-" +
-                               std::to_string(store_version) +
-                               " usca trace store");
-  }
-  if (get<std::uint32_t>(header, 60) != util::crc32(header, 60)) {
-    throw util::analysis_error("trace store '" + path +
-                               "' header checksum mismatch");
-  }
-
-  trace_store_descriptor file_desc;
-  file_desc.scalar =
-      static_cast<trace_scalar>(get<std::uint32_t>(header, 12));
-  file_desc.samples = get<std::uint64_t>(header, 16);
-  if (file_desc.samples > (1ULL << 32)) {
-    throw util::analysis_error("trace store '" + path +
-                               "' header has an implausible sample count");
-  }
-  file_desc.labels = get<std::uint32_t>(header, 24);
-  file_desc.chunk_traces = get<std::uint32_t>(header, 28);
-  file_desc.seed = get<std::uint64_t>(header, 32);
-  file_desc.config_hash = get<std::uint64_t>(header, 40);
-  file_desc.first_index = get<std::uint64_t>(header, 48);
-
-  const bool mismatch =
-      file_desc.scalar != desc.scalar ||
-      file_desc.chunk_traces != desc.chunk_traces ||
-      file_desc.seed != desc.seed ||
-      file_desc.config_hash != desc.config_hash ||
-      file_desc.first_index != desc.first_index ||
-      file_desc.labels != desc.labels ||
-      (desc.samples != 0 && file_desc.samples != desc.samples);
-  if (mismatch) {
-    throw util::analysis_error(
-        "trace store '" + path +
-        "' was written by a different campaign configuration; refusing "
-        "to resume into it");
-  }
-  desc_ = file_desc; // adopt the file's (known) sample count
-  header_written_ = true;
-
-  // Walk the chunk chain; stop at the first torn/corrupt chunk.
-  const std::uint64_t record_bytes = file_desc.record_bytes();
+  // The reader's salvage walk validates the header and every chunk.  Keep
+  // the leading run of chunks that sit back to back from the header with
+  // gapless indices — it ends at the first damaged byte, since a damaged
+  // chunk is skipped and leaves a gap — and end it after the first short
+  // chunk, which is only valid as the last one (the strict reader rejects
+  // a short chunk mid-chain).  Chunks the salvage walk keeps after
+  // damage are torn tail here.
+  trace_store_writer writer(path, desc);
   std::uint64_t offset = file_header_bytes;
   std::uint64_t records = 0;
-  std::uint64_t last_chunk_offset = offset;
-  std::uint32_t last_chunk_count = 0;
-  std::vector<unsigned char> payload;
-  for (;;) {
-    unsigned char chdr[chunk_header_bytes];
-    if (offset + chunk_header_bytes > file_size ||
-        !full_pread(fd, chdr, sizeof chdr, offset)) {
-      break;
+  chunk_extent last{};
+  {
+    const trace_store_reader reader(path, store_open_mode::salvage);
+    const trace_store_descriptor& file_desc = reader.descriptor();
+    const bool mismatch =
+        file_desc.scalar != desc.scalar ||
+        file_desc.chunk_traces != desc.chunk_traces ||
+        file_desc.seed != desc.seed ||
+        file_desc.config_hash != desc.config_hash ||
+        file_desc.first_index != desc.first_index ||
+        file_desc.labels != desc.labels ||
+        (desc.samples != 0 && file_desc.samples != desc.samples);
+    if (mismatch) {
+      throw util::analysis_error(
+          "trace store '" + path +
+          "' was written by a different campaign configuration; refusing "
+          "to resume into it");
     }
-    if (get<std::uint32_t>(chdr, 0) != chunk_magic ||
-        get<std::uint32_t>(chdr, 28) != util::crc32(chdr, 28)) {
-      break;
+    writer.desc_ = file_desc; // adopt the file's (known) sample count
+    for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
+      const chunk_extent& chunk = reader.chunk_extent_at(c);
+      if (chunk.payload_offset != offset + chunk_header_bytes ||
+          chunk.first_record != records) {
+        break;
+      }
+      last = chunk;
+      records += chunk.count;
+      offset = chunk.payload_offset + chunk.count * file_desc.record_bytes();
+      if (chunk.count < file_desc.chunk_traces) {
+        break;
+      }
     }
-    const std::uint32_t count = get<std::uint32_t>(chdr, 4);
-    const std::uint64_t payload_bytes = get<std::uint64_t>(chdr, 16);
-    // Overflow-safe (samples and chunk_traces were bounds-checked above,
-    // so count * record_bytes cannot wrap, and the fit test subtracts
-    // from the known-larger file size).
-    if (count == 0 || count > file_desc.chunk_traces ||
-        payload_bytes != count * record_bytes ||
-        get<std::uint64_t>(chdr, 8) != file_desc.first_index + records ||
-        payload_bytes > file_size - offset - chunk_header_bytes) {
-      break;
-    }
-    payload.resize(payload_bytes);
-    if (!full_pread(fd, payload.data(), payload_bytes,
-                    offset + chunk_header_bytes) ||
-        util::crc32(payload.data(), payload.size()) !=
-            get<std::uint32_t>(chdr, 24)) {
-      break;
-    }
-    last_chunk_offset = offset;
-    last_chunk_count = count;
-    records += count;
-    offset += chunk_header_bytes + payload_bytes;
-    if (count < file_desc.chunk_traces) {
-      // A short chunk is only valid as the LAST chunk (the reader
-      // rejects a short chunk mid-chain).  Stop the walk here: whatever
-      // follows is treated as torn tail, the short chunk is re-buffered
-      // below, and the truncated records re-simulate deterministically —
-      // the resumed file satisfies the reader's invariant again.
-      break;
-    }
+  }
+  // From here on a throw leaves the file's bytes as they are: the header
+  // counts as written and nothing is buffered until the truncation has
+  // succeeded, so the destructor's close() only releases the descriptor.
+  writer.header_written_ = true;
+  writer.fd_ = ::open(path.c_str(), O_RDWR);
+  if (writer.fd_ < 0) {
+    throw util::analysis_error("cannot open '" + path + "' for appending");
   }
 
   // The bytes past the last intact chunk are a torn tail (killed writer,
@@ -309,28 +191,14 @@ void trace_store_writer::resume_existing(const std::string& path,
   }
   if (options.quarantine_torn_tail && offset < file_size) {
     const std::string qpath = path + ".quarantine";
-    const int qfd = ::open(qpath.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                           0644);
-    if (qfd < 0) {
-      throw util::analysis_error("cannot open quarantine file '" + qpath +
+    std::vector<char> tail(static_cast<std::size_t>(file_size - offset));
+    read_range(path, offset, tail.data(), tail.size(), "the torn tail");
+    std::ofstream out(qpath, std::ios::binary | std::ios::trunc);
+    out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+    out.close();
+    if (!out) {
+      throw util::analysis_error("cannot write quarantine file '" + qpath +
                                  "'");
-    }
-    std::vector<unsigned char> tail(
-        static_cast<std::size_t>(file_size - offset));
-    if (!full_pread(fd, tail.data(), tail.size(), offset)) {
-      ::close(qfd);
-      throw util::analysis_error("cannot read the torn tail of '" + path +
-                                 "' for quarantine");
-    }
-    try {
-      full_write(qfd, tail.data(), tail.size(), qpath);
-    } catch (...) {
-      ::close(qfd);
-      throw;
-    }
-    if (::close(qfd) != 0) {
-      throw util::analysis_error("closing quarantine file '" + qpath +
-                                 "' failed");
     }
     if (report != nullptr) {
       report->quarantine_path = qpath;
@@ -343,33 +211,33 @@ void trace_store_writer::resume_existing(const std::string& path,
   // its nominal size, so the chunk layout — and therefore the bytes — is
   // identical to a single uninterrupted run; a resume that appends
   // nothing flushes the same short chunk back on close().
-  if (last_chunk_count != 0 && last_chunk_count < file_desc.chunk_traces) {
-    records -= last_chunk_count;
-    offset = last_chunk_offset;
-    chunk_buf_.resize(last_chunk_count * record_bytes);
-    if (!full_pread(fd, chunk_buf_.data(), chunk_buf_.size(),
-                    last_chunk_offset + chunk_header_bytes)) {
-      throw util::analysis_error("cannot re-read the tail chunk of '" +
-                                 path + "'");
-    }
-    buffered_ = last_chunk_count;
+  std::uint32_t rebuffered = 0;
+  if (last.count != 0 && last.count < writer.desc_.chunk_traces) {
+    rebuffered = last.count;
+    records -= last.count;
+    offset = last.payload_offset - chunk_header_bytes;
+    writer.chunk_buf_.resize(last.count * writer.desc_.record_bytes());
+    read_range(path, last.payload_offset, writer.chunk_buf_.data(),
+               writer.chunk_buf_.size(), "the tail chunk");
   }
 
-  if (::ftruncate(fd, static_cast<off_t>(offset)) != 0 ||
-      ::lseek(fd, 0, SEEK_END) < 0) {
+  if (::ftruncate(writer.fd_, static_cast<off_t>(offset)) != 0 ||
+      ::lseek(writer.fd_, 0, SEEK_END) < 0) {
     throw util::analysis_error("cannot truncate '" + path +
                                "' to its last intact chunk");
   }
-  written_ = records;
+  writer.written_ = records;
+  writer.buffered_ = rebuffered;
   if (report != nullptr) {
-    report->intact_records = records + buffered_;
+    report->intact_records = records + rebuffered;
   }
+  return writer;
 }
 
 void trace_store_writer::write_header() {
   util::failpoint("store_write_header");
   unsigned char buf[file_header_bytes];
-  encode_file_header(desc_, buf);
+  store_format::encode_file_header(desc_, buf);
   full_write(fd_, buf, sizeof buf, path_);
   header_written_ = true;
 }
@@ -380,7 +248,12 @@ void trace_store_writer::append(std::span<const double> labels,
     throw util::analysis_error("append to a closed trace store");
   }
   if (desc_.samples == 0 && written_ == 0 && buffered_ == 0) {
-    desc_.samples = samples.size();
+    // The first record fixes a deferred sample count, and with it the
+    // shape the header will carry.
+    trace_store_descriptor first = desc_;
+    first.samples = samples.size();
+    store_format::check_shape(first, path_);
+    desc_ = first;
   }
   if (labels.size() != desc_.labels || samples.size() != desc_.samples) {
     throw util::analysis_error(
@@ -418,13 +291,9 @@ void trace_store_writer::flush_chunk() {
     write_header();
   }
   unsigned char chdr[chunk_header_bytes];
-  std::memset(chdr, 0, sizeof chdr);
-  put(chdr, 0, chunk_magic);
-  put(chdr, 4, buffered_);
-  put(chdr, 8, desc_.first_index + written_);
-  put(chdr, 16, static_cast<std::uint64_t>(chunk_buf_.size()));
-  put(chdr, 24, util::crc32(chunk_buf_.data(), chunk_buf_.size()));
-  put(chdr, 28, util::crc32(chdr, 28));
+  store_format::encode_chunk_header(buffered_, desc_.first_index + written_,
+                                    chunk_buf_.data(), chunk_buf_.size(),
+                                    chdr);
   if (util::failpoint("store_write_chunk")) {
     // `corrupt` action: flip one payload bit AFTER the CRCs above were
     // computed — the chunk lands on disk with exactly the silent bit rot

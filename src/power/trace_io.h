@@ -8,7 +8,8 @@
 // stream once, and any number of later analyses replay it through the
 // mmap reader (power/trace_store_reader.h) without re-simulation.
 //
-// Store layout (all little endian):
+// Store layout (all little endian; the constants and header codec are
+// defined once, in power/trace_store_format.h):
 //
 //   file_header (64 bytes)
 //     char      magic[8]   = "USCATRC2"
@@ -40,7 +41,9 @@
 // written atomically (buffered in memory, flushed as one write), so a
 // killed campaign leaves a prefix of whole chunks; resume() drops a
 // trailing short chunk and any torn bytes, and appending the re-simulated
-// records reproduces the uninterrupted file byte for byte.
+// records reproduces the uninterrupted file byte for byte.  The chunk
+// chain has one parser, the reader's validating walk: resume() is a
+// client of trace_store_reader, not a second parser.
 //
 // The store is the only binary trace format; for external plotting an
 // archive streams out as CSV through export_csv(const trace_store_reader&).
@@ -115,16 +118,22 @@ public:
   static trace_store_writer create(const std::string& path,
                                    const trace_store_descriptor& desc);
 
-  /// Reopens an existing store for appending.  Validates the header
-  /// against `desc` (seed, config hash, scalar, chunk size, first index,
-  /// and — when nonzero in desc — samples and labels), verifies the chunk
-  /// chain, truncates any torn tail, and re-buffers a trailing chunk
-  /// shorter than chunk_traces as pending records — so appending after a
-  /// kill reproduces an uninterrupted file byte-identically, and resuming
-  /// an already-complete store re-simulates nothing.  next_index() is
+  /// Reopens an existing store for appending.  The chunk chain is walked
+  /// by a salvage-mode trace_store_reader, so resume() accepts exactly
+  /// the header and chunks the reader validates (a file-header fault
+  /// throws).  The header must match `desc` (seed, config hash, scalar,
+  /// chunk size, first index, labels and — when nonzero in desc —
+  /// samples).  Resume keeps the leading run of chunks up to the first
+  /// damaged byte, ending after the first short chunk; everything after
+  /// it is torn tail and is truncated, even chunks a salvage open would
+  /// still serve.  A trailing chunk shorter than chunk_traces is
+  /// re-buffered as pending records — so appending after a kill
+  /// reproduces an uninterrupted file byte-identically, and resuming an
+  /// already-complete store re-simulates nothing.  next_index() is
   /// positioned after the last intact record.  A missing or empty file
-  /// behaves like create().  `report` (optional) receives what the walk
-  /// found; options.quarantine_torn_tail preserves any cut tail bytes in
+  /// behaves like create().  Throws without touching the file's bytes.
+  /// `report` (optional) receives what the walk found;
+  /// options.quarantine_torn_tail preserves any cut tail bytes in
   /// `<path>.quarantine`.
   static trace_store_writer resume(const std::string& path,
                                    const trace_store_descriptor& desc,
@@ -136,7 +145,10 @@ public:
   ~trace_store_writer();
 
   /// Appends one record; labels/samples sizes must match the descriptor
-  /// (the first append fixes a deferred sample count).
+  /// (the first append fixes a deferred sample count).  A record shape
+  /// the reader would reject — 0 bytes wide, or an implausible sample
+  /// count — throws before anything is written; create() refuses one it
+  /// can already see.
   void append(std::span<const double> labels, std::span<const double> samples);
 
   /// Flushes buffered records and closes the file; further appends throw.
@@ -157,12 +169,6 @@ public:
 private:
   trace_store_writer(std::string path, const trace_store_descriptor& desc);
 
-  /// The resume() body once the file is open: validate, walk, truncate,
-  /// re-buffer.  Throws without touching the file's bytes.
-  void resume_existing(const std::string& path,
-                       const trace_store_descriptor& desc,
-                       const store_resume_options& options,
-                       store_resume_report* report);
   void write_header();
   void flush_chunk();
 

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <fstream>
 #include <ostream>
 #include <utility>
 
+#include "power/trace_store_format.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/telemetry.h"
@@ -19,34 +21,11 @@ namespace usca::power {
 
 namespace {
 
-constexpr char store_magic[8] = {'U', 'S', 'C', 'A', 'T', 'R', 'C', '2'};
-constexpr std::uint32_t store_version = 2;
-constexpr std::uint32_t chunk_magic = 0x4b4e4843; // "CHNK"
-constexpr std::uint64_t file_header_bytes = 64;
-constexpr std::uint64_t chunk_header_bytes = 32;
+using store_format::chunk_header_bytes;
+using store_format::file_header_bytes;
 
-template <typename T> T get(const unsigned char* buf, std::uint64_t offset) {
-  T value{};
-  std::memcpy(&value, buf + offset, sizeof value);
-  return value;
-}
-
-/// The one formatting path for validation failures: every strict-mode
-/// throw names the file, the byte offset of the damage, the chunk slot
-/// (SIZE_MAX = file header, no chunk) and the failure class, so a failed
-/// open is actionable without a hexdump.
-[[noreturn]] void reject(const std::string& path, store_fault fault,
-                         std::uint64_t byte_offset, std::size_t chunk,
-                         const std::string& what) {
-  std::string msg = "trace store '" + path + "': " + what + " [fault " +
-                    store_fault_name(fault) + ", byte offset " +
-                    std::to_string(byte_offset);
-  if (chunk != static_cast<std::size_t>(-1)) {
-    msg += ", chunk " + std::to_string(chunk);
-  }
-  msg += "]";
-  throw util::analysis_error(msg);
-}
+using store_format::no_chunk;
+using store_format::reject;
 
 } // namespace
 
@@ -97,8 +76,7 @@ trace_store_reader::trace_store_reader(const std::string& path,
   map_size_ = static_cast<std::uint64_t>(st.st_size);
   if (map_size_ < file_header_bytes) {
     ::close(fd);
-    reject(path, store_fault::file_short_header, 0,
-           static_cast<std::size_t>(-1),
+    reject(path, store_fault::file_short_header, 0, no_chunk,
            "too small to hold a header (" + std::to_string(map_size_) +
                " bytes)");
   }
@@ -119,48 +97,10 @@ trace_store_reader::trace_store_reader(const std::string& path,
 void trace_store_reader::parse(const std::string& path) {
   // --- header ----------------------------------------------------------
   // File header faults are fatal in BOTH modes: without a trusted header
-  // there is no record geometry to salvage by.
-  constexpr std::size_t no_chunk = static_cast<std::size_t>(-1);
-  if (std::memcmp(map_, store_magic, sizeof store_magic) != 0) {
-    reject(path, store_fault::file_bad_magic, 0, no_chunk,
-           "bad magic (not a usca trace store)");
-  }
-  if (get<std::uint32_t>(map_, 8) != store_version) {
-    reject(path, store_fault::file_bad_version, 8, no_chunk,
-           "unsupported version " +
-               std::to_string(get<std::uint32_t>(map_, 8)));
-  }
-  if (get<std::uint32_t>(map_, 60) != util::crc32(map_, 60)) {
-    reject(path, store_fault::file_header_crc, 0, no_chunk,
-           "header checksum mismatch");
-  }
-  const auto scalar = get<std::uint32_t>(map_, 12);
-  if (scalar > static_cast<std::uint32_t>(trace_scalar::f32)) {
-    reject(path, store_fault::file_bad_shape, 12, no_chunk,
-           "unknown sample scalar kind");
-  }
-  desc_.scalar = static_cast<trace_scalar>(scalar);
-  desc_.samples = get<std::uint64_t>(map_, 16);
-  desc_.labels = get<std::uint32_t>(map_, 24);
-  desc_.chunk_traces = get<std::uint32_t>(map_, 28);
-  desc_.seed = get<std::uint64_t>(map_, 32);
-  desc_.config_hash = get<std::uint64_t>(map_, 40);
-  desc_.first_index = get<std::uint64_t>(map_, 48);
-  // Bound the shape before any arithmetic on it: a corrupt header must
-  // not be able to overflow record_bytes / payload computations into
-  // "valid" ranges (the CRC catches honest bit rot, but the reject path
-  // must be safe for arbitrary bytes too).  With samples <= 2^32 and
-  // 32-bit labels, record_bytes < 2^36, so no product or sum below can
-  // wrap.  A header-only file (zero records) is a valid empty store.
-  if (desc_.samples > (1ULL << 32)) {
-    reject(path, store_fault::file_bad_shape, 16, no_chunk,
-           "implausible sample count");
-  }
+  // there is no record geometry to salvage by.  A header-only file (zero
+  // records) is a valid empty store.
+  desc_ = store_format::decode_file_header(map_, path);
   const std::uint64_t record_bytes = desc_.record_bytes();
-  if (desc_.chunk_traces == 0 || record_bytes == 0) {
-    reject(path, store_fault::file_bad_shape, 16, no_chunk,
-           "degenerate record shape");
-  }
 
   // --- chunk chain -----------------------------------------------------
   // Every chunk except the last is full, so the file has a fixed nominal
@@ -199,20 +139,22 @@ void trace_store_reader::parse(const std::string& path) {
       continue;
     }
     const unsigned char* chdr = map_ + offset;
-    if (get<std::uint32_t>(chdr, 0) != chunk_magic) {
+    const store_format::chunk_header hdr =
+        store_format::decode_chunk_header(chdr);
+    if (hdr.magic != store_format::chunk_magic) {
       damaged(store_fault::chunk_bad_magic, nominal_stride,
               "bad chunk magic");
       continue;
     }
-    if (get<std::uint32_t>(chdr, 28) != util::crc32(chdr, 28)) {
+    if (hdr.header_crc != util::crc32(chdr, 28)) {
       damaged(store_fault::chunk_header_crc, nominal_stride,
               "chunk header checksum mismatch");
       continue;
     }
     // Header CRC checked out: count/payload_bytes/first_index are
     // trustworthy, so later faults can resync by the exact extent.
-    const std::uint32_t count = get<std::uint32_t>(chdr, 4);
-    const std::uint64_t payload_bytes = get<std::uint64_t>(chdr, 16);
+    const std::uint32_t count = hdr.count;
+    const std::uint64_t payload_bytes = hdr.payload_bytes;
     // Overflow-safe bounds: the payload must fit in what remains of the
     // mapping (offset + header is already known <= map_size_), and the
     // count comparison divides instead of multiplying, so neither check
@@ -229,7 +171,7 @@ void trace_store_reader::parse(const std::string& path) {
       continue;
     }
     const std::uint64_t extent = chunk_header_bytes + payload_bytes;
-    const std::uint64_t first_field = get<std::uint64_t>(chdr, 8);
+    const std::uint64_t first_field = hdr.first_index;
     if (first_field < desc_.first_index ||
         (mode_ == store_open_mode::strict
              ? first_field - desc_.first_index != expected_next
@@ -254,8 +196,7 @@ void trace_store_reader::parse(const std::string& path) {
       prev_short = false; // note the anomaly once, not per later chunk
     }
     const unsigned char* payload = chdr + chunk_header_bytes;
-    if (get<std::uint32_t>(chdr, 24) !=
-        util::crc32(payload, payload_bytes)) {
+    if (hdr.payload_crc != util::crc32(payload, payload_bytes)) {
       damaged(store_fault::chunk_payload_crc, extent,
               "chunk payload checksum mismatch");
       continue;
@@ -263,7 +204,7 @@ void trace_store_reader::parse(const std::string& path) {
     const auto rec_first =
         static_cast<std::size_t>(first_field - desc_.first_index);
     chunks_.push_back(
-        chunk_entry{offset + chunk_header_bytes, rec_first, count});
+        chunk_extent{offset + chunk_header_bytes, rec_first, count});
     traces_ += count;
     expected_next = rec_first + count;
     prev_short = count < desc_.chunk_traces;
@@ -325,18 +266,18 @@ trace_store_reader::~trace_store_reader() {
   }
 }
 
-const trace_store_reader::chunk_entry&
+const chunk_extent&
 trace_store_reader::record_chunk(std::size_t record) const {
   // Surviving chunks are sorted by first_record; find the last chunk
   // starting at or before `record`.  For an intact store this resolves
   // to the same chunk as the old division arithmetic.
   const auto it = std::upper_bound(
       chunks_.begin(), chunks_.end(), record,
-      [](std::size_t r, const chunk_entry& e) { return r < e.first_record; });
+      [](std::size_t r, const chunk_extent& e) { return r < e.first_record; });
   if (it == chunks_.begin()) {
     throw util::analysis_error("trace store record index out of range");
   }
-  const chunk_entry& entry = *(it - 1);
+  const chunk_extent& entry = *(it - 1);
   if (record >= entry.first_record + entry.count) {
     throw util::analysis_error(
         "trace store record " + std::to_string(record) +
@@ -347,7 +288,7 @@ trace_store_reader::record_chunk(std::size_t record) const {
 
 const unsigned char*
 trace_store_reader::record_ptr(std::size_t record) const {
-  const chunk_entry& entry = record_chunk(record);
+  const chunk_extent& entry = record_chunk(record);
   return map_ + entry.payload_offset +
          (record - entry.first_record) * desc_.record_bytes();
 }
@@ -375,11 +316,16 @@ trace_store_reader::samples_row(std::size_t record) const {
           static_cast<std::size_t>(desc_.samples)};
 }
 
-batch_rows trace_store_reader::chunk_rows(std::size_t chunk) const {
+const chunk_extent&
+trace_store_reader::chunk_extent_at(std::size_t chunk) const {
   if (chunk >= chunks_.size()) {
     throw util::analysis_error("trace store chunk index out of range");
   }
-  const chunk_entry& entry = chunks_[chunk];
+  return chunks_[chunk];
+}
+
+batch_rows trace_store_reader::chunk_rows(std::size_t chunk) const {
+  const chunk_extent& entry = chunk_extent_at(chunk);
   const std::size_t n_labels = desc_.labels;
   const std::size_t n_samples = static_cast<std::size_t>(desc_.samples);
   batch_rows rows;
@@ -431,6 +377,14 @@ void trace_store_reader::stream(const record_fn& fn) const {
          {row_samples, n_samples});
     }
   }
+}
+
+bool has_store_magic(const std::string& path) {
+  char head[sizeof store_format::magic] = {};
+  std::ifstream in(path, std::ios::binary);
+  in.read(head, sizeof head);
+  return in.gcount() == sizeof head &&
+         std::memcmp(head, store_format::magic, sizeof head) == 0;
 }
 
 void export_csv(const trace_store_reader& reader, std::ostream& out) {

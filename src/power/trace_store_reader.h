@@ -20,6 +20,12 @@
 //    stream has holes where chunks were lost); the CPA/TVLA sinks
 //    accumulate whatever arrives, and index-keyed labels stay correct.
 //
+// The reader's walk is the store's only chunk-chain parser.
+// trace_store_writer::resume() is a client of it: it opens a salvage
+// reader and keeps the leading run of chunks up to the first damaged
+// byte (chunk_extent_at() gives each surviving chunk's place in the
+// file), so crash recovery and analysis agree on what is intact.
+//
 // Float64 stores hand out std::span<const double> views straight into
 // the mapping — replaying a 100k-trace campaign into the CPA/TVLA
 // accumulators touches each page exactly once and copies nothing.  The
@@ -80,6 +86,14 @@ struct chunk_damage {
   std::uint64_t byte_offset = 0;  ///< file offset of the damaged header
   store_fault fault = store_fault::chunk_payload_crc;
   std::uint64_t bytes_skipped = 0; ///< extent stepped over to resync
+};
+
+/// Where one surviving chunk sits in the file.  Its header starts
+/// chunk_header_bytes (32) before payload_offset.
+struct chunk_extent {
+  std::uint64_t payload_offset = 0; ///< file offset of the chunk payload
+  std::size_t first_record = 0;     ///< original store-relative index
+  std::uint32_t count = 0;          ///< records in the chunk
 };
 
 /// One chunk of a store viewed as strided rows of doubles: row r's labels
@@ -154,6 +168,10 @@ public:
   std::span<const double> labels_row(std::size_t record) const;
   std::span<const double> samples_row(std::size_t record) const;
 
+  /// Where surviving chunk `chunk` (0 .. chunk_count()) sits in the
+  /// file; touches no payload.
+  const chunk_extent& chunk_extent_at(std::size_t chunk) const;
+
   /// Views surviving chunk `chunk` (0 .. chunk_count()) as strided rows;
   /// first_record is the chunk's ORIGINAL store-relative position, so
   /// salvaged streams keep correct global indices.  f64 stores alias the
@@ -171,15 +189,8 @@ public:
   void stream(const record_fn& fn) const;
 
 private:
-  /// Surviving chunk: payload location plus its original record range.
-  struct chunk_entry {
-    std::uint64_t payload_offset = 0;
-    std::size_t first_record = 0; ///< original store-relative index
-    std::uint32_t count = 0;
-  };
-
   void parse(const std::string& path);
-  const chunk_entry& record_chunk(std::size_t record) const;
+  const chunk_extent& record_chunk(std::size_t record) const;
   const unsigned char* record_ptr(std::size_t record) const;
 
   trace_store_descriptor desc_;
@@ -188,10 +199,15 @@ private:
   std::uint64_t map_size_ = 0;
   std::size_t traces_ = 0;
   std::size_t end_record_ = 0; ///< one past the last surviving record
-  std::vector<chunk_entry> chunks_;
+  std::vector<chunk_extent> chunks_;
   std::vector<chunk_damage> damage_;
   mutable std::vector<double> scratch_; ///< f32 whole-chunk decode tile
 };
+
+/// True when the file at `path` begins with the store magic: how a tool
+/// tells a trace store from other files before it picks a parser.
+/// Validates nothing further; open a reader for that.
+bool has_store_magic(const std::string& path);
 
 /// Streams an archive's samples as CSV, one row per trace, through a
 /// reused line buffer — a 100k-trace store exports without a matrix (or

@@ -112,8 +112,11 @@ void batch_pipeline::simulate(std::uint64_t max_cycles) {
   lanes_ == 1 ? step_until<true>(cycle_ + max_cycles)
               : step_until<false>(cycle_ + max_cycles);
   sync_out();
+  // Counted per surviving lane: a batch adds what its lanes' per-trace
+  // runs would (ejected lanes count on their per-trace rerun).
   static const telem::counter cycles{"sim.inorder.cycles", "cycles", "sim"};
-  cycles.add(cycle_ - start_cycle);
+  cycles.add((cycle_ - start_cycle) *
+             static_cast<std::uint64_t>(std::popcount(active_mask_)));
 }
 
 bool batch_pipeline::step_cycle() {

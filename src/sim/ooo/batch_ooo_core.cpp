@@ -228,17 +228,17 @@ void batch_ooo_core::simulate(std::uint64_t max_cycles) {
   }
   sync_out();
   // Per-cycle quantities are accumulated in plain members and flushed to
-  // telemetry once per run, never from the cycle loop.
+  // telemetry once per run, never from the cycle loop.  They are counted
+  // per surviving lane: a batch adds what its lanes' per-trace runs would
+  // (ejected lanes count on their per-trace rerun).
+  const auto survivors =
+      static_cast<std::uint64_t>(std::popcount(active_mask_));
   static const telem::counter cycles{"sim.ooo.cycles", "cycles", "sim"};
   static const telem::counter skipped{"sim.ooo.idle_skipped", "cycles",
                                       "sim"};
-  cycles.add(cycle_ - start_cycle);
-  skipped.add(idle_skipped_ - start_skipped);
+  cycles.add((cycle_ - start_cycle) * survivors);
+  skipped.add((idle_skipped_ - start_skipped) * survivors);
   if (spec_enabled_) {
-    // Counted per surviving lane: a batch adds what its lanes' per-trace
-    // runs would (ejected lanes count on their per-trace rerun).
-    const auto survivors =
-        static_cast<std::uint64_t>(std::popcount(active_mask_));
     static const telem::counter mispredicted{"sim.ooo.mispredicts",
                                              "branches", "sim"};
     static const telem::counter wrong_uops{"sim.ooo.wrong_path_uops",

@@ -374,5 +374,68 @@ TEST_F(CampaignTelemetryTest, BatchedSpeculationCountersMatchPerTrace) {
   EXPECT_EQ(random_batched.wrong_uops, random_per_trace.wrong_uops);
 }
 
+// The cycle counters are counted per surviving lane as well, so on both
+// backends a batched campaign's totals equal its per-trace run's: on the
+// table-based AES, whose lanes survive their batch, and on the branchy
+// one, whose lanes are ejected and redone per trace.
+TEST_F(CampaignTelemetryTest, BatchedCycleCountersMatchPerTrace) {
+  const crypto::aes_round_keys rk = crypto::expand_key(
+      {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15,
+       0x88, 0x09, 0xcf, 0x4f, 0x3c});
+  const telem::counter inorder_cycles{"sim.inorder.cycles", "cycles", "sim"};
+  const telem::counter ooo_cycles{"sim.ooo.cycles", "cycles", "sim"};
+  const telem::counter idle_skipped{"sim.ooo.idle_skipped", "cycles", "sim"};
+  struct totals {
+    std::uint64_t inorder_cycles = 0;
+    std::uint64_t ooo_cycles = 0;
+    std::uint64_t idle_skipped = 0;
+  };
+  const auto run = [&](const crypto::aes_program_layout& layout,
+                       sim::backend_kind backend, int lanes) {
+    core::acquisition_config config;
+    config.traces = 16;
+    config.threads = 1;
+    config.seed = 0xc7c1e;
+    config.synthesize = false;
+    config.backend = backend;
+    config.uarch = backend == sim::backend_kind::ooo
+                       ? sim::cortex_a7_ooo_spec(sim::speculation_config{
+                             .predictor = sim::predictor_kind::bimodal})
+                       : sim::cortex_a7();
+    config.sim_batch_lanes = lanes;
+    core::acquisition_campaign campaign(sim::program_image(layout.prog),
+                                        config);
+    campaign.set_setup([&](std::size_t, util::xoshiro256& rng,
+                           sim::backend& core, std::vector<double>&) {
+      crypto::aes_block pt{};
+      for (std::uint8_t& b : pt) {
+        b = rng.next_u8();
+      }
+      crypto::install_aes_inputs(core.memory(), layout, rk, pt);
+    });
+    const totals before{inorder_cycles.value(), ooo_cycles.value(),
+                        idle_skipped.value()};
+    campaign.run([](core::acquisition_record&&) {});
+    return totals{inorder_cycles.value() - before.inorder_cycles,
+                  ooo_cycles.value() - before.ooo_cycles,
+                  idle_skipped.value() - before.idle_skipped};
+  };
+
+  for (const crypto::aes_program_layout& layout :
+       {crypto::generate_aes128_program(),
+        crypto::generate_aes128_branchy_program()}) {
+    for (const sim::backend_kind backend :
+         {sim::backend_kind::inorder, sim::backend_kind::ooo}) {
+      SCOPED_TRACE(sim::backend_kind_name(backend));
+      const totals per_trace = run(layout, backend, 0);
+      const totals batched = run(layout, backend, 8);
+      EXPECT_GT(per_trace.inorder_cycles + per_trace.ooo_cycles, 0u);
+      EXPECT_EQ(batched.inorder_cycles, per_trace.inorder_cycles);
+      EXPECT_EQ(batched.ooo_cycles, per_trace.ooo_cycles);
+      EXPECT_EQ(batched.idle_skipped, per_trace.idle_skipped);
+    }
+  }
+}
+
 } // namespace
 } // namespace usca

@@ -506,5 +506,47 @@ TEST(TraceStore, ResumeKeepsOnlyThePrefixBeforeAMidChainDamagedChunk) {
   std::remove(path.c_str());
 }
 
+TEST(TraceStore, WriterRefusesZeroWidthRecords) {
+  // A record of 0 bytes is a shape the reader rejects (file_bad_shape),
+  // so the writer must refuse it before writing anything.
+  const std::string path = temp_path("zerowidth");
+  trace_store_descriptor desc = small_desc();
+  desc.labels = 0;
+  desc.samples = 0; // learnt from the first record
+  {
+    auto writer = trace_store_writer::create(path, desc);
+    EXPECT_THROW(writer.append({}, {}), util::analysis_error);
+    writer.close();
+  }
+  // Nothing was written: the abandoned file is empty, which resume()
+  // treats as a fresh store, not a degenerate one.
+  EXPECT_EQ(file_bytes(path), "");
+
+  // A zero-width store written by hand (valid checksums) is refused by
+  // resume() exactly as by the reader.
+  std::string forged(64 + 32, '\0');
+  std::memcpy(forged.data(), "USCATRC2", 8);
+  const std::uint32_t version = 2, chunk_traces = 8, magic = 0x4b4e4843;
+  const std::uint32_t count = 6;
+  std::memcpy(forged.data() + 8, &version, 4);
+  std::memcpy(forged.data() + 28, &chunk_traces, 4);
+  const std::uint64_t seed = desc.seed, config_hash = desc.config_hash;
+  std::memcpy(forged.data() + 32, &seed, 8);
+  std::memcpy(forged.data() + 40, &config_hash, 8);
+  const std::uint32_t header_crc = util::crc32(forged.data(), 60);
+  std::memcpy(forged.data() + 60, &header_crc, 4);
+  std::memcpy(forged.data() + 64, &magic, 4);
+  std::memcpy(forged.data() + 68, &count, 4);
+  const std::uint32_t empty_crc = util::crc32(forged.data(), 0);
+  std::memcpy(forged.data() + 64 + 24, &empty_crc, 4);
+  const std::uint32_t chunk_crc = util::crc32(forged.data() + 64, 28);
+  std::memcpy(forged.data() + 64 + 28, &chunk_crc, 4);
+  std::ofstream(path, std::ios::binary) << forged;
+  EXPECT_THROW(trace_store_reader reader(path), util::analysis_error);
+  EXPECT_THROW(trace_store_writer::resume(path, desc), util::analysis_error);
+  EXPECT_EQ(file_bytes(path), forged);
+  std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace usca::power
