@@ -191,7 +191,7 @@ struct hot_path_report {
   double sim_batched_seconds = 0.0;
   double sim_batched_traces_per_sec = 0.0;
   // Same campaign on the out-of-order backend, per-trace: sim::ooo_core,
-  // the 1-lane face of the production engine sim::batch_ooo_core.
+  // the 1-lane construction of the production engine sim::batch_ooo_core.
   std::size_t ooo_samples_per_trace = 0;
   double ooo_seconds = 0.0;
   double ooo_traces_per_sec = 0.0;

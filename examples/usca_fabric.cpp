@@ -574,8 +574,9 @@ int run_verify(int argc, char** argv) {
 // -------------------------------------------------------------- status
 
 /// PATH resolution for `status`: a manifest file as-is, an --out path
-/// (".manifest" appended), or a directory holding exactly one
-/// "*.manifest".  Empty return = nothing resolvable.
+/// (".manifest" appended — also when a kept run's merged store exists
+/// there), or a directory holding exactly one "*.manifest".  Empty
+/// return = nothing resolvable.
 std::string resolve_manifest(const std::string& path) {
   struct stat st = {};
   if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
@@ -600,7 +601,7 @@ std::string resolve_manifest(const std::string& path) {
                  path.c_str(), found.size());
     return {};
   }
-  if (::stat(path.c_str(), &st) == 0) {
+  if (::stat(path.c_str(), &st) == 0 && !power::has_store_magic(path)) {
     return path;
   }
   const std::string with_suffix = path + ".manifest";

@@ -12,19 +12,6 @@ namespace usca::core {
 
 namespace {
 
-/// Activity recording both core kinds are built with: none for pure
-/// timing acquisitions, up to the window's end mark for marker windows
-/// (activity past it can never land inside the window, so recording it
-/// would only burn time and memory), the whole run otherwise.
-template <typename Core>
-void configure_recording(Core& core, const acquisition_config& config) {
-  if (!config.synthesize) {
-    core.set_record_activity(false);
-  } else if (!config.full_run_window) {
-    core.set_activity_cutoff_mark(config.window.end_mark);
-  }
-}
-
 [[noreturn]] void throw_window_not_found() {
   throw util::analysis_error(
       "acquisition window marks not found (or empty window) in the "
@@ -84,11 +71,25 @@ unsigned acquisition_campaign::resolved_threads() const noexcept {
   return resolved_worker_count(config_.threads, config_.traces);
 }
 
-std::unique_ptr<sim::backend> acquisition_campaign::make_backend() const {
-  std::unique_ptr<sim::backend> core =
-      sim::make_backend(config_.backend, image_, config_.uarch);
-  configure_recording(*core, config_);
-  return core;
+void acquisition_campaign::ready_core(
+    std::unique_ptr<sim::batch_backend>& core, std::size_t lanes,
+    std::size_t count) const {
+  if (core) {
+    core->reset();
+  } else {
+    core = sim::make_batch_backend(config_.backend, image_, config_.uarch,
+                                   lanes);
+    // Activity recording: none for pure timing acquisitions, up to the
+    // window's end mark for marker windows (activity past it can never
+    // land inside the window, so recording it would only burn time and
+    // memory), the whole run otherwise.
+    if (!config_.synthesize) {
+      core->set_record_activity(false);
+    } else if (!config_.full_run_window) {
+      core->set_activity_cutoff_mark(config_.window.end_mark);
+    }
+  }
+  core->limit_active_lanes(count);
 }
 
 power::trace_synthesizer acquisition_campaign::make_synthesizer() const {
@@ -119,51 +120,11 @@ void acquisition_campaign::synthesize_into(
                     : synth.synthesize(activity, begin, end);
 }
 
-void acquisition_campaign::produce_into(sim::backend& core,
-                                        power::trace_synthesizer& synth,
-                                        std::size_t index,
-                                        acquisition_record& rec) const {
-  TELEM_SPAN("campaign.trace");
-  // Everything random about trial `index` derives from its per-index
-  // seed: one private stream for the trial's inputs, one for its
-  // measurement noise (and second-core phase).
-  std::uint64_t stream = trace_seed(config_.seed, index);
-  const std::uint64_t setup_seed = util::splitmix64(stream);
-  const std::uint64_t synthesis_seed = util::splitmix64(stream);
-
-  rec.index = index;
-  util::xoshiro256 setup_rng(setup_seed);
-  setup_(index, setup_rng, core, rec.labels);
-
-  core.warm_caches();
-  core.run();
-  rec.cycles = core.cycles();
-  rec.instructions = core.instructions_issued();
-  rec.marks = core.marks();
-
-  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
-  static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
-  traces.add();
-  cycles.add(rec.cycles);
-
-  if (config_.full_run_window) {
-    rec.window_begin = 0;
-    rec.window_end = core.cycles() + config_.full_run_tail_pad;
-  } else if (!find_campaign_window(rec.marks, config_.window,
-                                   rec.window_begin, rec.window_end)) {
-    throw_window_not_found();
-  }
-
-  if (config_.synthesize) {
-    synthesize_into(core.activity(), synth, synthesis_seed, rec);
-  }
-}
-
 std::size_t acquisition_campaign::batch_lanes() const {
   if (config_.backend == sim::backend_kind::ooo &&
       sim::ooo_reference_selected(config_.uarch)) {
     // The reference scheduler exists as the differential oracle and has
-    // no batched counterpart: it runs on the per-trace path.
+    // no batched form: it runs in groups of one.
     return 0;
   }
   std::size_t lanes = sim::resolve_sim_batch_lanes(config_.sim_batch_lanes);
@@ -173,27 +134,17 @@ std::size_t acquisition_campaign::batch_lanes() const {
   return lanes;
 }
 
-std::unique_ptr<sim::batch_backend> acquisition_campaign::make_batch_backend(
-    std::size_t lanes) const {
-  std::unique_ptr<sim::batch_backend> batch =
-      sim::make_batch_backend(config_.backend, image_, config_.uarch, lanes);
-  configure_recording(*batch, config_);
-  return batch;
-}
-
-void acquisition_campaign::produce_batch_into(
-    sim::batch_backend& batch, std::unique_ptr<sim::backend>& fallback,
+void acquisition_campaign::produce_group(
+    sim::batch_backend& core, std::unique_ptr<sim::batch_backend>& single,
     power::trace_synthesizer& synth, std::size_t first_index,
-    std::size_t count, std::vector<acquisition_record>& recs) const {
+    std::span<acquisition_record> recs) const {
   TELEM_SPAN("campaign.batch");
-  recs.resize(count);
-  batch.limit_active_lanes(count);
-  batch.reset();
-
-  // Same per-index derivation as produce_into; the setup callback writes
-  // each trial's registers/memory through a lane view of the batch.
+  // Everything random about trial `index` derives from its per-index
+  // seed: one private stream for the trial's inputs, one for its
+  // measurement noise (and second-core phase).  The setup callback writes
+  // each trial's registers/memory through a lane view of the core.
   std::array<std::uint64_t, sim::max_batch_lanes> synthesis_seeds{};
-  for (std::size_t l = 0; l < count; ++l) {
+  for (std::size_t l = 0; l < recs.size(); ++l) {
     const std::size_t index = first_index + l;
     std::uint64_t stream = trace_seed(config_.seed, index);
     const std::uint64_t setup_seed = util::splitmix64(stream);
@@ -201,20 +152,20 @@ void acquisition_campaign::produce_batch_into(
 
     recs[l].index = index;
     util::xoshiro256 setup_rng(setup_seed);
-    sim::batch_lane_view lane(batch, l);
+    sim::batch_lane_view lane(core, l);
     setup_(index, setup_rng, lane, recs[l].labels);
   }
 
-  batch.warm_caches();
-  batch.run();
+  core.warm_caches();
+  core.run();
 
   std::uint64_t window_begin = 0;
   std::uint64_t window_end = 0;
   bool window_found = true;
   if (config_.full_run_window) {
-    window_end = batch.cycles() + config_.full_run_tail_pad;
+    window_end = core.cycles() + config_.full_run_tail_pad;
   } else {
-    window_found = find_campaign_window(batch.marks(), config_.window,
+    window_found = find_campaign_window(core.marks(), config_.window,
                                         window_begin, window_end);
   }
 
@@ -223,44 +174,43 @@ void acquisition_campaign::produce_batch_into(
   static const telem::counter fallbacks{"campaign.lane_fallbacks", "traces",
                                         "campaign"};
 
-  for (std::size_t l = 0; l < count; ++l) {
-    if (batch.lane_diverged(l)) {
+  for (std::size_t l = 0; l < recs.size(); ++l) {
+    if (core.lane_diverged(l)) {
       // Data-dependent timing left the shared schedule; redo this trial
-      // on a per-trace core (labels included: the record is rebuilt from
-      // scratch so the setup callback runs exactly once).
+      // as a group of one (labels included: the record is rebuilt from
+      // scratch so the setup callback runs exactly once).  A 1-lane core
+      // never ejects, so it is its own fallback.
       fallbacks.add();
-      if (!fallback) {
-        fallback = make_backend();
-      } else {
-        fallback->reset();
-      }
+      ready_core(single, 1, 1);
       recs[l] = acquisition_record{};
-      produce_into(*fallback, synth, first_index + l, recs[l]);
+      produce_group(*single, single, synth, first_index + l,
+                    recs.subspan(l, 1));
       continue;
     }
     if (!window_found) {
       throw_window_not_found();
     }
     acquisition_record& rec = recs[l];
-    rec.cycles = batch.cycles();
-    rec.instructions = batch.instructions_issued();
-    rec.marks = batch.marks();
+    rec.cycles = core.cycles();
+    rec.instructions = core.instructions_issued();
+    rec.marks = core.marks();
     rec.window_begin = window_begin;
     rec.window_end = window_end;
     traces.add();
     cycles.add(rec.cycles);
 
     if (config_.synthesize) {
-      synthesize_into(batch.activity(l), synth, synthesis_seeds[l], rec);
+      synthesize_into(core.activity(l), synth, synthesis_seeds[l], rec);
     }
   }
 }
 
 acquisition_record acquisition_campaign::produce(std::size_t index) const {
-  std::unique_ptr<sim::backend> core = make_backend();
+  std::unique_ptr<sim::batch_backend> core;
+  ready_core(core, 1, 1);
   power::trace_synthesizer synth = make_synthesizer();
   acquisition_record rec;
-  produce_into(*core, synth, index, rec);
+  produce_group(*core, core, synth, index, std::span(&rec, 1));
   return rec;
 }
 
@@ -284,55 +234,38 @@ void acquisition_source::for_each_batch(std::size_t max_batch,
 void acquisition_campaign::run(const sink_fn& sink) {
   const std::size_t first = config_.first_index;
   const std::size_t lanes = batch_lanes();
-
-  if (lanes == 0) {
-    // Per-trace reference path.  Each worker owns one backend and one
-    // synthesizer for its whole shard; per trial only reset() (no
-    // reallocation) and reseed() separate it from a freshly constructed
-    // pair, which the reset-equivalence tests pin as bit-identical.
-    struct worker_context {
-      std::unique_ptr<sim::backend> core;
-      power::trace_synthesizer synth;
-    };
-
-    ordered_parallel_produce(
-        config_.traces, resolved_threads(),
-        [this](unsigned) {
-          return worker_context{make_backend(), make_synthesizer()};
-        },
-        [this, first](worker_context& ctx, std::size_t i) {
-          ctx.core->reset();
-          acquisition_record rec;
-          produce_into(*ctx.core, ctx.synth, first + i, rec);
-          return rec;
-        },
-        sink);
-    return;
-  }
-
-  // Batched path: groups of `lanes` consecutive trials per batch run,
+  // Groups of `width` consecutive trials — one per group when per-trace —
   // claimed by the workers, reordered, and unrolled in index order on
-  // this thread — same records, same order as per-trace.
-  const std::size_t groups = (config_.traces + lanes - 1) / lanes;
-  struct batch_worker_context {
-    std::unique_ptr<sim::batch_backend> batch;
-    std::unique_ptr<sim::backend> fallback; // lazy: built on first ejection
+  // this thread: the same records in the same order at every width.  Each
+  // worker owns one core and one synthesizer for its whole shard; per
+  // group only reset() (no reallocation) and reseed() separate them from
+  // a freshly constructed pair, which the reset-equivalence tests pin as
+  // bit-identical.
+  const std::size_t width = lanes == 0 ? 1 : lanes;
+  const std::size_t groups = (config_.traces + width - 1) / width;
+  struct worker_context {
+    std::unique_ptr<sim::batch_backend> core;   // built on the first group
+    std::unique_ptr<sim::batch_backend> single; // built on the first ejection
     power::trace_synthesizer synth;
   };
 
   ordered_parallel_produce(
       groups, resolved_worker_count(config_.threads, groups),
-      [this, lanes](unsigned) {
-        return batch_worker_context{make_batch_backend(lanes), nullptr,
-                                    make_synthesizer()};
+      [this](unsigned) {
+        return worker_context{nullptr, nullptr, make_synthesizer()};
       },
-      [this, first, lanes](batch_worker_context& ctx, std::size_t g) {
-        const std::size_t begin = g * lanes;
+      [this, first, width, lanes](worker_context& ctx, std::size_t g) {
+        const std::size_t begin = g * width;
         const std::size_t count =
-            begin + lanes <= config_.traces ? lanes : config_.traces - begin;
-        std::vector<acquisition_record> recs;
-        produce_batch_into(*ctx.batch, ctx.fallback, ctx.synth, first + begin,
-                           count, recs);
+            begin + width <= config_.traces ? width : config_.traces - begin;
+        ready_core(ctx.core, width, count);
+        std::vector<acquisition_record> recs(count);
+        produce_group(*ctx.core, ctx.single, ctx.synth, first + begin, recs);
+        if (lanes != 0) {
+          // Batch occupancy describes batched groups only; per-trace work
+          // feeds none of it.
+          sim::note_batch_run(count, ctx.core->active_lane_cycles());
+        }
         return recs;
       },
       [&sink](std::vector<acquisition_record>&& recs) {

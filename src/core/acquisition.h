@@ -7,10 +7,14 @@
 // this loop is the wall-clock bottleneck of the whole reproduction.  This
 // engine is that loop, once: the caller supplies the shared program image
 // and a per-index setup callback; the engine owns one resettable core +
-// synthesizer per worker (or one batched core simulating up to 64 trials
-// in lockstep), shards the trials, and delivers records to the sink in
-// strict index order.  The AES attack campaign (core/campaign.h) is one
-// such setup: it installs the key schedule and a plaintext per trial.
+// synthesizer per worker, shards the trials into groups, and delivers
+// records to the sink in strict index order.  A group is the trials one
+// core simulates in lockstep, one per lane (up to 64); a per-trace core
+// is a 1-lane engine, so per-trace work — USCA_SIM_BATCH=0, the OoO
+// reference scheduler, produce(), the redo of an ejected lane — is
+// groups of one on the same path.  The AES attack campaign
+// (core/campaign.h) is one such setup: it installs the key schedule and a
+// plaintext per trial.
 //
 // Determinism guarantee:
 //
@@ -32,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/trace_stream.h"
@@ -85,12 +90,12 @@ struct acquisition_config {
   /// Core model the trials run on (in-order pipeline or OoO backend).
   sim::backend_kind backend = sim::backend_kind::inorder;
   /// Batched-simulation width (sim/batch_sim.h): -1 selects the default
-  /// lane count, 0 forces the per-trace path, 1..64 batches that many
-  /// trials per run.  USCA_SIM_BATCH, when set, overrides this field
-  /// (USCA_SIM_BATCH=0 reverts every campaign to the per-trace path).
-  /// Trials whose data-dependent timing diverges from their batch are
-  /// ejected and transparently re-simulated per-trace, so results are
-  /// bit-identical at every lane count.
+  /// lane count, 0 runs per-trace (groups of one on 1-lane cores), 1..64
+  /// batches that many trials per run.  USCA_SIM_BATCH, when set,
+  /// overrides this field (USCA_SIM_BATCH=0 reverts every campaign to
+  /// per-trace).  Trials whose data-dependent timing diverges from their
+  /// batch are ejected and transparently redone as groups of one, so
+  /// results are bit-identical at every lane count.
   int sim_batch_lanes = -1;
 };
 
@@ -151,8 +156,8 @@ public:
   /// first tile, consume_batch() per tile, finish() at the end.
   void run(analysis_pass& pass);
 
-  /// Produces record `index` synchronously on a fresh pipeline; run()
-  /// yields exactly this record for every index.
+  /// Produces record `index` synchronously as a group of one on a fresh
+  /// 1-lane core; run() yields exactly this record for every index.
   acquisition_record produce(std::size_t index) const;
 
   unsigned resolved_threads() const noexcept;
@@ -165,34 +170,33 @@ public:
                                   std::size_t index) noexcept;
 
 private:
-  std::unique_ptr<sim::backend> make_backend() const;
+  /// Builds `core` with `lanes` lanes (the one factory, recording set up
+  /// for this campaign's window) on first use, resets it afterwards, and
+  /// limits it to `count` active lanes.
+  void ready_core(std::unique_ptr<sim::batch_backend>& core,
+                  std::size_t lanes, std::size_t count) const;
   power::trace_synthesizer make_synthesizer() const;
-  void produce_into(sim::backend& core, power::trace_synthesizer& synth,
-                    std::size_t index, acquisition_record& rec) const;
+  /// The one producer: the setup callback runs against each lane through
+  /// a sim::batch_lane_view, the whole group simulates in one run of the
+  /// ready `core`, and each ejected lane is redone as a group of one on
+  /// `single` (a 1-lane core, built on first use).  recs[i] is
+  /// bit-identical to produce(first_index + i).
+  void produce_group(sim::batch_backend& core,
+                     std::unique_ptr<sim::batch_backend>& single,
+                     power::trace_synthesizer& synth, std::size_t first_index,
+                     std::span<acquisition_record> recs) const;
   /// Fills rec.samples (and rec.window_activity below
   /// keep_activity_first) from a finished run's activity over the
-  /// record's window — the tail both produce paths share.
+  /// record's window.
   void synthesize_into(const sim::activity_trace& activity,
                        power::trace_synthesizer& synth,
                        std::uint64_t synthesis_seed,
                        acquisition_record& rec) const;
 
-  /// Lane count run() batches with: 0 selects the per-trace path
-  /// (batching disabled via config/env, or the OoO reference scheduler,
-  /// which has no batched counterpart), otherwise the resolved width
-  /// clamped to the trace count.
+  /// Lane count run() batches with: 0 runs per-trace (batching disabled
+  /// via config/env, or the OoO reference scheduler, which has no batched
+  /// form), otherwise the resolved width clamped to the trace count.
   std::size_t batch_lanes() const;
-  std::unique_ptr<sim::batch_backend> make_batch_backend(
-      std::size_t lanes) const;
-  /// Batched counterpart of produce_into: the setup callback runs against
-  /// each lane through a sim::batch_lane_view, the whole group simulates
-  /// in one batch run, and ejected lanes fall back to the lazily-built
-  /// per-trace core.  recs[i] is bit-identical to produce(first_index+i).
-  void produce_batch_into(sim::batch_backend& batch,
-                          std::unique_ptr<sim::backend>& fallback,
-                          power::trace_synthesizer& synth,
-                          std::size_t first_index, std::size_t count,
-                          std::vector<acquisition_record>& recs) const;
 
   sim::program_image image_;
   acquisition_config config_;

@@ -1,6 +1,7 @@
 #include "core/campaign_fabric.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include <fcntl.h>
@@ -230,6 +232,11 @@ fabric_manifest parse_manifest(const std::string& path) {
   if (!std::getline(in, line) || line != "usca-fabric-manifest 1") {
     bad("bad magic line (not a fabric manifest, or a newer version)");
   }
+  // The lines binding a manifest to its campaign: each must appear
+  // exactly once, or the manifest could load for any campaign.
+  static constexpr std::array<std::string_view, 5> binding_keys{
+      "config_hash", "seed", "first_index", "traces", "lease_traces"};
+  std::array<bool, binding_keys.size()> seen{};
   fabric_manifest manifest;
   while (std::getline(in, line)) {
     if (line.empty()) {
@@ -238,8 +245,15 @@ fabric_manifest parse_manifest(const std::string& path) {
     std::istringstream iss(line);
     std::string key;
     iss >> key;
-    if (key == "config_hash" || key == "seed" || key == "first_index" ||
-        key == "traces" || key == "lease_traces") {
+    const auto binding =
+        std::find(binding_keys.begin(), binding_keys.end(), key);
+    if (binding != binding_keys.end()) {
+      bool& once = seen[static_cast<std::size_t>(binding -
+                                                 binding_keys.begin())];
+      if (once) {
+        bad("duplicate '" + key + "' line");
+      }
+      once = true;
       std::uint64_t value = 0;
       if (!(iss >> value)) {
         bad("malformed '" + key + "' line");
@@ -273,6 +287,11 @@ fabric_manifest parse_manifest(const std::string& path) {
       manifest.leases.push_back(std::move(lease));
     } else {
       bad("unknown line: '" + line + "'");
+    }
+  }
+  for (std::size_t k = 0; k < binding_keys.size(); ++k) {
+    if (!seen[k]) {
+      bad("missing '" + std::string(binding_keys[k]) + "' line");
     }
   }
   return manifest;

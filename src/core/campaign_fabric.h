@@ -78,8 +78,10 @@ struct fabric_manifest {
 /// The one parser of the manifest format.  The coordinator adds the
 /// campaign binding and split checks on top; tools that read a manifest
 /// alone (`usca_fabric verify` and `status`) use it as is.  Throws
-/// util::analysis_error naming `path` when the file cannot be read, or
-/// on a bad magic line or any malformed or unknown line.
+/// util::analysis_error naming `path` when the file cannot be read, on a
+/// bad magic line or any malformed or unknown line, and unless each
+/// binding line (config_hash, seed, first_index, traces, lease_traces)
+/// appears exactly once.
 fabric_manifest parse_manifest(const std::string& path);
 
 /// Point-in-time coordinator view handed to fabric_config::on_progress:

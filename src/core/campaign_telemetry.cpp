@@ -1,11 +1,14 @@
 #include "core/campaign_telemetry.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string_view>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -90,18 +93,41 @@ std::optional<worker_heartbeat> read_heartbeat(const std::string& path) {
   if (!got) {
     return std::nullopt;
   }
+  // Exactly the shape heartbeat_json() writes, digits through
+  // std::from_chars: a number out of range is a malformed file, not
+  // (as with sscanf) undefined behaviour.
+  std::string_view rest(line);
+  const auto literal = [&rest](std::string_view text) {
+    if (!rest.starts_with(text)) {
+      return false;
+    }
+    rest.remove_prefix(text.size());
+    return true;
+  };
+  const auto number = [&rest](std::uint64_t& out) {
+    const auto [end, ec] =
+        std::from_chars(rest.data(), rest.data() + rest.size(), out);
+    rest.remove_prefix(static_cast<std::size_t>(end - rest.data()));
+    return ec == std::errc{};
+  };
   worker_heartbeat hb;
-  char state[32] = {};
-  // Exactly the shape heartbeat_json() writes.
-  if (std::sscanf(line,
-                  "{\"pid\":%" SCNu64 ",\"first_index\":%" SCNu64
-                  ",\"traces\":%" SCNu64 ",\"produced\":%" SCNu64
-                  ",\"wall_ms\":%" SCNu64 ",\"state\":\"%31[a-z]\"}",
-                  &hb.pid, &hb.first_index, &hb.traces, &hb.produced,
-                  &hb.wall_ms, state) != 6) {
+  if (!(literal("{\"pid\":") && number(hb.pid) &&
+        literal(",\"first_index\":") && number(hb.first_index) &&
+        literal(",\"traces\":") && number(hb.traces) &&
+        literal(",\"produced\":") && number(hb.produced) &&
+        literal(",\"wall_ms\":") && number(hb.wall_ms) &&
+        literal(",\"state\":\""))) {
     return std::nullopt;
   }
-  hb.state = state;
+  const std::size_t letters =
+      std::min(rest.find_first_not_of("abcdefghijklmnopqrstuvwxyz"),
+               rest.size());
+  hb.state = std::string(rest.substr(0, letters));
+  rest.remove_prefix(letters);
+  if (hb.state.empty() || !literal("\"}") ||
+      !(rest.empty() || rest == "\n")) {
+    return std::nullopt;
+  }
   return hb;
 }
 

@@ -2,10 +2,7 @@
 
 #include <utility>
 
-#include "sim/ooo/ooo_core.h"
-#include "sim/ooo/ooo_reference_core.h"
-#include "sim/pipeline.h"
-#include "util/bitops.h"
+#include "sim/batch_sim.h"
 
 namespace usca::sim {
 
@@ -31,16 +28,7 @@ std::optional<backend_kind> parse_backend_kind(std::string_view text) noexcept {
 
 std::unique_ptr<backend> make_backend(backend_kind kind, program_image image,
                                       const micro_arch_config& config) {
-  switch (kind) {
-  case backend_kind::inorder:
-    return std::make_unique<pipeline>(std::move(image), config);
-  case backend_kind::ooo:
-    if (ooo_reference_selected(config)) {
-      return std::make_unique<ooo_reference_core>(std::move(image), config);
-    }
-    return std::make_unique<ooo_core>(std::move(image), config);
-  }
-  return nullptr;
+  return make_batch_backend(kind, std::move(image), config, 1);
 }
 
 } // namespace usca::sim

@@ -16,18 +16,19 @@
 //                is bit-identical in behaviour to a newly constructed one;
 //   * rebind() — swaps in a different shared program image and resets.
 //
-// Implementations: sim::pipeline (in-order, partial dual-issue — the
-// per-trace face of the engine sim::batch_pipeline), sim::ooo_core
-// (out-of-order issue: rename/ROB/RS — the per-trace face of the engine
-// sim::batch_ooo_core, sim/ooo/) and the OoO oracle
-// sim::ooo_reference_core, which make_backend() picks for the reference
-// scheduler.  A face drives its engine at one lane and lends it the
-// recording members below for the duration of each call
-// (batch_backend::drive_face).
+// Every core model is a batch engine (sim::batch_backend, batch_sim.h)
+// that advances one or more traces (lanes) per cycle, and a per-trace
+// core is a 1-lane engine: sim::pipeline is sim::batch_pipeline at one
+// lane, sim::ooo_core is sim::batch_ooo_core at one lane, and the OoO
+// oracle sim::ooo_reference_core is a 1-lane engine of its own, which
+// make_backend() picks for the reference scheduler.  The per-lane
+// accessors below default to lane 0, so per-trace code never names a
+// lane.
 #ifndef USCA_SIM_BACKEND_H
 #define USCA_SIM_BACKEND_H
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -82,6 +83,9 @@ public:
   virtual void warm_caches() = 0;
 
   /// Runs until halt (or the cycle budget is exhausted, which throws).
+  /// On an engine of several lanes, lanes whose data-dependent timing
+  /// diverges are ejected (batch_backend::lane_diverged); the leader lane
+  /// always completes.
   virtual void run(std::uint64_t max_cycles = 50'000'000) = 0;
 
   /// Advances at least one cycle; returns false once halted.  A backend
@@ -91,10 +95,12 @@ public:
   /// unaffected.
   virtual bool step_cycle() = 0;
 
-  virtual cpu_state& state() noexcept = 0;
-  virtual const cpu_state& state() const noexcept = 0;
-  virtual mem::memory& memory() noexcept = 0;
-  virtual const mem::memory& memory() const noexcept = 0;
+  /// Architectural state and data memory of `lane` (a per-trace core has
+  /// only lane 0).
+  virtual cpu_state& state(std::size_t lane = 0) noexcept = 0;
+  virtual const cpu_state& state(std::size_t lane = 0) const noexcept = 0;
+  virtual mem::memory& memory(std::size_t lane = 0) noexcept = 0;
+  virtual const mem::memory& memory(std::size_t lane = 0) const noexcept = 0;
   /// The simulated program (shared, immutable).
   virtual const asmx::program& program() const noexcept = 0;
 
@@ -109,8 +115,13 @@ public:
   // acquisition engine's bit-identity contract depends on — from diverging
   // between core models.
 
+  /// Marks are shared control: every lane of an engine commits the same
+  /// marks at the same cycles.
   const std::vector<mark_stamp>& marks() const noexcept { return marks_; }
-  const activity_trace& activity() const noexcept { return activity_; }
+  /// Activity stream of `lane`; lane 0's is a per-trace core's stream.
+  const activity_trace& activity(std::size_t lane = 0) const noexcept {
+    return activity_[lane];
+  }
 
   /// Disables activity recording (pure timing runs are ~2x faster).
   void set_record_activity(bool record) noexcept {
@@ -129,51 +140,58 @@ public:
   void clear_activity_cutoff_mark() noexcept { has_cutoff_mark_ = false; }
 
 protected:
-  // The batch engines swap these recording members with their lane 0
-  // when they run as a per-trace face's engine (batch_sim.h).
-  friend class batch_backend;
+  /// One activity buffer per simulated lane (none for a view that only
+  /// forwards state, batch_lane_view).
+  explicit backend(std::size_t lanes) : activity_(lanes) {
+    for (activity_trace& t : activity_) {
+      t.reserve(4096);
+    }
+  }
 
   // emit/emit_weight are defined here (not backend.cpp) so the core models'
   // hot loops — tens of thousands of calls per simulated run — inline them.
 
-  /// One switching event: `toggles` = HD(before, after) on `comp`/`lane`.
-  void emit(component comp, std::uint8_t lane, std::uint32_t before,
-            std::uint32_t after, std::uint64_t at_cycle) {
+  /// One switching event on `lane`'s stream: `toggles` = HD(before, after)
+  /// on `comp`/`port`.
+  void emit(std::size_t lane, component comp, std::uint8_t port,
+            std::uint32_t before, std::uint32_t after,
+            std::uint64_t at_cycle) {
     if (!record_activity_ || before == after) {
       return;
     }
     activity_event ev;
     ev.cycle = static_cast<std::uint32_t>(at_cycle);
     ev.comp = comp;
-    ev.lane = lane;
+    ev.lane = port;
     ev.toggles = static_cast<std::uint8_t>(
         std::popcount(before ^ after)); // HD(before, after)
-    activity_.push_back(ev);
+    activity_[lane].push_back(ev);
   }
 
   /// Zero-precharged network: `toggles` = HW(value).
-  void emit_weight(component comp, std::uint8_t lane, std::uint32_t value,
-                   std::uint64_t at_cycle) {
+  void emit_weight(std::size_t lane, component comp, std::uint8_t port,
+                   std::uint32_t value, std::uint64_t at_cycle) {
     if (!record_activity_ || value == 0) {
       return;
     }
     activity_event ev;
     ev.cycle = static_cast<std::uint32_t>(at_cycle);
     ev.comp = comp;
-    ev.lane = lane;
+    ev.lane = port;
     ev.toggles = static_cast<std::uint8_t>(std::popcount(value));
-    activity_.push_back(ev);
+    activity_[lane].push_back(ev);
   }
 
   std::vector<mark_stamp> marks_;
-  activity_trace activity_;
+  std::vector<activity_trace> activity_; ///< [lane]
   std::uint16_t cutoff_mark_ = 0;
   bool has_cutoff_mark_ = false;
   bool record_activity_ = true;
   bool record_default_ = true; ///< restored by reset()
 };
 
-/// Constructs a backend of the requested kind over a shared program image.
+/// Constructs a per-trace backend of the requested kind over a shared
+/// program image: make_batch_backend() at one lane (batch_sim.h).
 std::unique_ptr<backend> make_backend(backend_kind kind, program_image image,
                                       const micro_arch_config& config);
 

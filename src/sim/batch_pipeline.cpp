@@ -101,12 +101,6 @@ void batch_pipeline::warm_caches() {
 }
 
 void batch_pipeline::run(std::uint64_t max_cycles) {
-  simulate(max_cycles);
-  note_batch_run(active_limit_, active_lane_cycles_);
-  active_lane_cycles_ = 0;
-}
-
-void batch_pipeline::simulate(std::uint64_t max_cycles) {
   sync_in();
   const std::uint64_t start_cycle = cycle_;
   lanes_ == 1 ? step_until<true>(cycle_ + max_cycles)
@@ -140,8 +134,8 @@ void batch_pipeline::drive_rf_port(const lane_array<one_lane>& values) {
   const auto port_lane = static_cast<std::uint8_t>(port);
   for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::rf_read_port, port_lane, rf_port_state_[base + l],
-              values[l], cycle_);
+    emit(l, component::rf_read_port, port_lane, rf_port_state_[base + l],
+         values[l], cycle_);
     rf_port_state_[base + l] = values[l];
   }
 }
@@ -153,8 +147,8 @@ void batch_pipeline::drive_is_ex_bus(
   const std::size_t base = static_cast<std::size_t>(bus) * width<one_lane>();
   for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
-              values[l], cycle_ + 1);
+    emit(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
+         values[l], cycle_ + 1);
     is_ex_bus_state_[base + l] = values[l];
   }
 }
@@ -165,8 +159,8 @@ void batch_pipeline::drive_is_ex_bus_uniform(std::uint8_t bus,
   const std::size_t base = static_cast<std::size_t>(bus) * width<one_lane>();
   for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
-              value, cycle_ + 1);
+    emit(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
+         value, cycle_ + 1);
     is_ex_bus_state_[base + l] = value;
   }
 }
@@ -178,11 +172,11 @@ void batch_pipeline::write_back(int slot, const lane_array<one_lane>& values,
   const std::size_t base = static_cast<std::size_t>(slot) * width<one_lane>();
   for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::wb_bus, bus, wb_bus_state_[base + l], values[l],
-              at_cycle);
+    emit(l, component::wb_bus, bus, wb_bus_state_[base + l], values[l],
+         at_cycle);
     wb_bus_state_[base + l] = values[l];
-    emit_lane(l, component::ex_wb_latch, bus, ex_wb_latch_state_[base + l],
-              values[l], at_cycle);
+    emit(l, component::ex_wb_latch, bus, ex_wb_latch_state_[base + l],
+         values[l], at_cycle);
     ex_wb_latch_state_[base + l] = values[l];
   }
 }
@@ -364,8 +358,8 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         const std::size_t base = static_cast<std::size_t>(bus) * lanes;
         for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          emit_lane(l, component::wb_bus, bus, wb_bus_state_[base + l], 0,
-                    wb_at);
+          emit(l, component::wb_bus, bus, wb_bus_state_[base + l], 0,
+               wb_at);
           wb_bus_state_[base + l] = 0;
         }
       }
@@ -375,8 +369,8 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         const std::size_t base = static_cast<std::size_t>(latch) * lanes;
         for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          emit_lane(l, component::alu_in_latch, latch,
-                    alu_latch_state_[base + l], 0, cycle_ + 1);
+          emit(l, component::alu_in_latch, latch,
+               alu_latch_state_[base + l], 0, cycle_ + 1);
           alu_latch_state_[base + l] = 0;
         }
       }
@@ -505,14 +499,14 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       retire_write<one_lane>(ins.rd, value, result_ready);
       for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::mdr, 0, mdr_state_[l], word[l], mem_cycle);
+        emit(l, component::mdr, 0, mdr_state_[l], word[l], mem_cycle);
         mdr_state_[l] = word[l];
       }
       if (isa::is_subword(ins) && config_.has_align_buffer) {
         for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
           const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                    value[l], mem_cycle + 1);
+          emit(l, component::align_buffer, 0, align_buffer_state_[l],
+               value[l], mem_cycle + 1);
           align_buffer_state_[l] = value[l];
         }
       }
@@ -541,7 +535,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
           break;
         }
         word[l] = memory_[l].containing_word(address[l]);
-        emit_lane(l, component::mdr, 0, mdr_state_[l], word[l], mem_cycle);
+        emit(l, component::mdr, 0, mdr_state_[l], word[l], mem_cycle);
         mdr_state_[l] = word[l];
       }
       if (isa::is_subword(ins) && config_.has_align_buffer) {
@@ -550,8 +544,8 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
           const std::uint32_t sub = ins.op == opcode::strb
                                         ? (data[l] & 0xffU)
                                         : (data[l] & 0xffffU);
-          emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                    sub, mem_cycle + 1);
+          emit(l, component::align_buffer, 0, align_buffer_state_[l],
+               sub, mem_cycle + 1);
           align_buffer_state_[l] = sub;
         }
       }
@@ -593,19 +587,19 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       // The multiplier lives on ALU0.
       for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 0, alu_latch_state_[l], a[l],
-                  cycle_ + 1);
+        emit(l, component::alu_in_latch, 0, alu_latch_state_[l], a[l],
+             cycle_ + 1);
         alu_latch_state_[l] = a[l];
       }
       for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes + l],
-                  b[l], cycle_ + 1);
+        emit(l, component::alu_in_latch, 1, alu_latch_state_[lanes + l],
+             b[l], cycle_ + 1);
         alu_latch_state_[lanes + l] = b[l];
       }
       for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_weight_lane(l, component::alu_out, 0, result[l], ready - 1);
+        emit_weight(l, component::alu_out, 0, result[l], ready - 1);
       }
       retire_write<one_lane>(ins.rd, result, ready);
       write_back<one_lane>(slot, result, ready);
@@ -740,8 +734,8 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     // Hamming-weight leakage of the shifted value.
     for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::shift_buffer, 0, op2_value[l],
-                       cycle_ + 2);
+      emit_weight(l, component::shift_buffer, 0, op2_value[l],
+                  cycle_ + 2);
     }
   }
 
@@ -750,17 +744,17 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         static_cast<std::size_t>(alu_index * 2 + 1) * lanes;
     for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::alu_in_latch,
-                static_cast<std::uint8_t>(alu_index * 2 + 1),
-                alu_latch_state_[latch1 + l], op2_value[l], cycle_ + 1);
+      emit(l, component::alu_in_latch,
+           static_cast<std::uint8_t>(alu_index * 2 + 1),
+           alu_latch_state_[latch1 + l], op2_value[l], cycle_ + 1);
       alu_latch_state_[latch1 + l] = op2_value[l];
     }
     retire_write<one_lane>(ins.rd, op2_value, cycle_ + result_latency);
     for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::alu_out,
-                       static_cast<std::uint8_t>(alu_index), op2_value[l],
-                       cycle_ + 2);
+      emit_weight(l, component::alu_out,
+                  static_cast<std::uint8_t>(alu_index), op2_value[l],
+                  cycle_ + 2);
     }
     write_back<one_lane>(slot, op2_value, cycle_ + 3);
     pc_ = next_pc;
@@ -788,26 +782,26 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   if (has_rn) {
     for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::alu_in_latch,
-                static_cast<std::uint8_t>(alu_index * 2),
-                alu_latch_state_[latch_base + l], rn_value[l], cycle_ + 1);
+      emit(l, component::alu_in_latch,
+           static_cast<std::uint8_t>(alu_index * 2),
+           alu_latch_state_[latch_base + l], rn_value[l], cycle_ + 1);
       alu_latch_state_[latch_base + l] = rn_value[l];
     }
   }
   for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::alu_in_latch,
-              static_cast<std::uint8_t>(alu_index * 2 + 1),
-              alu_latch_state_[latch_base + lanes + l], op2_value[l],
-              cycle_ + 1);
+    emit(l, component::alu_in_latch,
+         static_cast<std::uint8_t>(alu_index * 2 + 1),
+         alu_latch_state_[latch_base + lanes + l], op2_value[l],
+         cycle_ + 1);
     alu_latch_state_[latch_base + lanes + l] = op2_value[l];
   }
 
   for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_weight_lane(l, component::alu_out,
-                     static_cast<std::uint8_t>(alu_index), result[l],
-                     cycle_ + 2);
+    emit_weight(l, component::alu_out,
+                static_cast<std::uint8_t>(alu_index), result[l],
+                cycle_ + 2);
   }
 
   if (writes_result) {
@@ -819,11 +813,11 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
       state_[l].set_reg(ins.rd, result[l]);
-      emit_lane(l, component::wb_bus, wb_bus, wb_bus_state_[wb_base + l],
-                result[l], cycle_ + 3);
+      emit(l, component::wb_bus, wb_bus, wb_bus_state_[wb_base + l],
+           result[l], cycle_ + 3);
       wb_bus_state_[wb_base + l] = result[l];
-      emit_lane(l, component::ex_wb_latch, wb_bus,
-                ex_wb_latch_state_[wb_base + l], result[l], cycle_ + 3);
+      emit(l, component::ex_wb_latch, wb_bus,
+           ex_wb_latch_state_[wb_base + l], result[l], cycle_ + 3);
       ex_wb_latch_state_[wb_base + l] = result[l];
     }
   }

@@ -1,8 +1,8 @@
 // The in-order Cortex-A7 model of the paper (Section 3, Figure 2) — the
 // one implementation of it: N independent traces advance through ONE
-// in-order core model per cycle.  Per-trace runs use it with one lane
-// through its sim::backend face sim::pipeline (pipeline.h, which also
-// describes the modelled micro-architecture).
+// in-order core model per cycle.  A per-trace core is a 1-lane engine:
+// sim::pipeline (pipeline.h, which also describes the modelled
+// micro-architecture) is this class constructed with one lane.
 //
 // The split follows directly from what is and is not data-dependent on
 // the modelled core (see batch_sim.h for the protocol):
@@ -47,7 +47,7 @@ bool statically_pairable(const micro_arch_config& config,
                          const isa::instruction& older,
                          const isa::instruction& younger) noexcept;
 
-class batch_pipeline final : public batch_backend {
+class batch_pipeline : public batch_backend {
 public:
   explicit batch_pipeline(program_image image, micro_arch_config config,
                           std::size_t lanes = default_sim_batch_lanes);
@@ -56,26 +56,33 @@ public:
     return backend_kind::inorder;
   }
 
+  /// Restores the freshly-constructed state — architectural registers,
+  /// caches, scoreboard, leakage-relevant state registers, marks and the
+  /// activity buffers — without reallocating or re-copying the program.
+  /// The data image is re-installed from the shared program image.  A
+  /// reset engine is bit-identical in behaviour to a newly constructed
+  /// one (pinned by the reset-equivalence tests).
   void reset() override;
   /// Swaps in a different program image (re-deriving the pairability
-  /// cache) and resets.
-  void rebind(program_image image);
+  /// cache) and resets.  Lets the CPI explorer reuse one core across its
+  /// dozens of micro-benchmarks.
+  void rebind(program_image image) override;
   void warm_caches() override;
   void run(std::uint64_t max_cycles = 50'000'000) override;
   /// Advances one cycle (publishing pc/halted to the active lanes);
   /// returns false once halted.
-  bool step_cycle();
+  bool step_cycle() override;
 
-  cpu_state& state(std::size_t lane) noexcept override {
+  cpu_state& state(std::size_t lane = 0) noexcept override {
     return state_[lane];
   }
-  const cpu_state& state(std::size_t lane) const noexcept override {
+  const cpu_state& state(std::size_t lane = 0) const noexcept override {
     return state_[lane];
   }
-  mem::memory& memory(std::size_t lane) noexcept override {
+  mem::memory& memory(std::size_t lane = 0) noexcept override {
     return memory_[lane];
   }
-  const mem::memory& memory(std::size_t lane) const noexcept override {
+  const mem::memory& memory(std::size_t lane = 0) const noexcept override {
     return memory_[lane];
   }
   const asmx::program& program() const noexcept override { return *prog_; }
@@ -85,18 +92,15 @@ public:
   std::uint64_t instructions_issued() const noexcept override {
     return issued_;
   }
+  /// Number of cycles in which two instructions were issued together.
   std::uint64_t dual_issue_pairs() const noexcept { return dual_pairs_; }
 
   const mem::cache& icache() const noexcept { return icache_; }
-  const mem::cache& dcache(std::size_t lane) const noexcept {
+  const mem::cache& dcache(std::size_t lane = 0) const noexcept {
     return dcache_[lane];
   }
 
 private:
-  // The per-trace face drives lane 0 and hands its recording buffers in
-  // and out (batch_backend::drive_face).
-  friend class pipeline;
-
   struct issue_outcome {
     bool issued = false;
     bool redirect = false; ///< taken branch to a non-fall-through target
@@ -107,8 +111,6 @@ private:
   template <bool one_lane, typename T = std::uint32_t>
   using lane_array = std::array<T, one_lane ? 1 : max_batch_lanes>;
 
-  /// run() without the batch-occupancy telemetry (the face's run()).
-  void simulate(std::uint64_t max_cycles);
   /// Cycles until halt or `limit` (which throws).
   template <bool one_lane>
   void step_until(std::uint64_t limit);
@@ -198,7 +200,6 @@ private:
   std::uint64_t cycle_ = 0;
   std::uint64_t issued_ = 0;
   std::uint64_t dual_pairs_ = 0;
-  std::uint64_t active_lane_cycles_ = 0;
   int rf_ports_used_this_cycle_ = 0;
 };
 

@@ -5,9 +5,10 @@
 #include <string>
 #include <utility>
 
-#include "sim/batch_pipeline.h"
 #include "sim/micro_arch_config.h"
-#include "sim/ooo/batch_ooo_core.h"
+#include "sim/ooo/ooo_core.h"
+#include "sim/ooo/ooo_reference_core.h"
+#include "sim/pipeline.h"
 #include "util/error.h"
 #include "util/telemetry.h"
 
@@ -38,7 +39,7 @@ std::size_t parse_sim_batch_env(const char* value) {
 
 std::size_t resolve_sim_batch_lanes(int config_lanes) {
   // The environment, when set, wins: USCA_SIM_BATCH=0 is the no-rebuild
-  // switch to the per-trace path.  That compares lane counts of one
+  // switch to per-trace groups of one.  That compares lane counts of one
   // engine; the independent checks are the oracles (batch_sim.h).
   if (const char* env = std::getenv("USCA_SIM_BATCH");
       env != nullptr && env[0] != '\0') {
@@ -80,22 +81,22 @@ void batch_backend::sync_out() noexcept {
   }
 }
 
-void batch_backend::swap_recording(backend& face) noexcept {
-  face.activity_.swap(activity_[0]);
-  face.marks_.swap(marks_);
-  std::swap(face.cutoff_mark_, cutoff_mark_);
-  std::swap(face.has_cutoff_mark_, has_cutoff_mark_);
-  std::swap(face.record_activity_, record_activity_);
-  std::swap(face.record_default_, record_default_);
-}
-
 std::unique_ptr<batch_backend> make_batch_backend(
     backend_kind kind, program_image image, const micro_arch_config& config,
     std::size_t lanes) {
   switch (kind) {
   case backend_kind::inorder:
+    if (lanes <= 1) {
+      return std::make_unique<pipeline>(std::move(image), config);
+    }
     return std::make_unique<batch_pipeline>(std::move(image), config, lanes);
   case backend_kind::ooo:
+    if (lanes <= 1) {
+      if (ooo_reference_selected(config)) {
+        return std::make_unique<ooo_reference_core>(std::move(image), config);
+      }
+      return std::make_unique<ooo_core>(std::move(image), config);
+    }
     return std::make_unique<batch_ooo_core>(std::move(image), config, lanes);
   }
   throw util::simulation_error("unknown backend kind");

@@ -26,19 +26,20 @@
 //     any shared decision;
 //   * an ejected lane's per-lane state is frozen garbage from that point
 //     on; callers check lane_diverged() and redo those traces on a
-//     per-trace sim::backend.
+//     1-lane core.
 //
 // Implementations, one production engine per design point:
 // sim::batch_pipeline (the in-order Cortex-A7 model; batch_pipeline.h)
 // and sim::batch_ooo_core (the OoO model, speculation included;
-// ooo/batch_ooo_core.h).  Per-trace runs use the same engines with one
-// lane, through their sim::backend faces sim::pipeline and sim::ooo_core
-// (drive_face() below).  The independent checks are the oracles: the
-// functional executor for architectural state, sim::ooo_reference_core
-// for the OoO schedule, and the golden activity pins.  The campaign/
-// acquisition engines produce through this interface behind a `sim_batch`
-// knob (default on, USCA_SIM_BATCH=0 selects the per-trace path) — see
-// core/acquisition.h.
+// ooo/batch_ooo_core.h).  A per-trace core is a 1-lane engine:
+// sim::pipeline and sim::ooo_core are those engines constructed with one
+// lane, whose only lane is the leader and so is never ejected.  The
+// independent checks are the oracles: the functional executor for
+// architectural state, sim::ooo_reference_core (a 1-lane engine of its
+// own) for the OoO schedule, and the golden activity pins.  The
+// acquisition engine produces every trace as a lane of a group on one of
+// these engines; a `sim_batch` knob (default on, USCA_SIM_BATCH=0 selects
+// groups of one) sets the group width — see core/acquisition.h.
 #ifndef USCA_SIM_BATCH_SIM_H
 #define USCA_SIM_BATCH_SIM_H
 
@@ -81,43 +82,19 @@ std::size_t parse_sim_batch_env(const char* value);
 /// setenv-based tests see the live value.
 std::size_t resolve_sim_batch_lanes(int config_lanes);
 
-/// Flushes one batch run's occupancy to telemetry: the `sim.batch.lanes`
-/// histogram and the `sim.batch.active_lane_cycles` counter.  Called once
-/// per run() by the batch engines — never from the cycle loop.
+/// Flushes one batched group's occupancy to telemetry: the
+/// `sim.batch.lanes` histogram and the `sim.batch.active_lane_cycles`
+/// counter.  Called once per group by the batched acquisition path —
+/// never from the cycle loop, and never for per-trace work.
 void note_batch_run(std::size_t lanes_active,
                     std::uint64_t active_lane_cycles);
 
-/// N-lane counterpart of sim::backend.  Shared control (cycle count,
-/// marks, activity recording flags) lives here; per-lane data (state,
-/// memory, activity stream) is exposed by lane index.
-class batch_backend {
+/// A core model advancing `lanes()` traces per cycle.  Shared control
+/// (cycle count, marks, recording flags — all in sim::backend) is run
+/// once per batch; per-lane data (state, memory, activity stream) is
+/// addressed by lane index.  A 1-lane engine is a per-trace core.
+class batch_backend : public backend {
 public:
-  virtual ~batch_backend() = default;
-
-  virtual backend_kind kind() const noexcept = 0;
-
-  /// Restores the freshly-constructed state of every lane (the active-lane
-  /// limit is preserved and re-applied).
-  virtual void reset() = 0;
-
-  /// Warms the shared I-cache and every lane's D-cache.
-  virtual void warm_caches() = 0;
-
-  /// Runs every active lane to the halt (or throws past the cycle
-  /// budget).  Lanes whose data-dependent timing diverges are ejected and
-  /// flagged (lane_diverged()); the leader lane always completes.
-  virtual void run(std::uint64_t max_cycles = 50'000'000) = 0;
-
-  virtual cpu_state& state(std::size_t lane) noexcept = 0;
-  virtual const cpu_state& state(std::size_t lane) const noexcept = 0;
-  virtual mem::memory& memory(std::size_t lane) noexcept = 0;
-  virtual const mem::memory& memory(std::size_t lane) const noexcept = 0;
-  virtual const asmx::program& program() const noexcept = 0;
-
-  /// Shared batch cycle count (identical across surviving lanes).
-  virtual std::uint64_t cycles() const noexcept = 0;
-  virtual std::uint64_t instructions_issued() const noexcept = 0;
-
   /// Configured lane capacity of this batch.
   std::size_t lanes() const noexcept { return lanes_; }
 
@@ -131,55 +108,27 @@ public:
   std::size_t active_lanes() const noexcept { return active_limit_; }
 
   /// Whether `lane` was ejected during run() (its per-lane state and
-  /// activity are garbage; re-simulate it per-trace).
+  /// activity are garbage; re-simulate it on a 1-lane core).
   bool lane_diverged(std::size_t lane) const noexcept {
     return (diverged_mask_ >> lane) & 1U;
   }
   bool any_lane_diverged() const noexcept { return diverged_mask_ != 0; }
 
-  const std::vector<mark_stamp>& marks() const noexcept { return marks_; }
-  const activity_trace& activity(std::size_t lane) const noexcept {
-    return activity_[lane];
+  /// Sum over simulated cycles of the lanes active in that cycle, since
+  /// the last reset() — the occupancy a batched group reports
+  /// (note_batch_run).
+  std::uint64_t active_lane_cycles() const noexcept {
+    return active_lane_cycles_;
   }
-
-  void set_record_activity(bool record) noexcept {
-    record_default_ = record;
-    record_activity_ = record;
-  }
-  void set_activity_cutoff_mark(std::uint16_t id) noexcept {
-    cutoff_mark_ = id;
-    has_cutoff_mark_ = true;
-  }
-  void clear_activity_cutoff_mark() noexcept { has_cutoff_mark_ = false; }
 
 protected:
-  /// Runs `drive` with `face`'s activity buffer, marks and recording
-  /// flags handed to lane 0 of this batch, and takes them back afterwards
-  /// (exceptions included).  The per-trace faces (sim::pipeline,
-  /// sim::ooo_core) wrap every call into their 1-lane engine in this.
-  /// Pointer swaps both ways: neither buffer is copied or reallocated, so
-  /// campaign loops stay allocation-free.
-  template <typename Drive>
-  decltype(auto) drive_face(backend& face, Drive&& drive) {
-    swap_recording(face);
-    struct hand_back {
-      batch_backend* batch;
-      backend* face;
-      ~hand_back() { batch->swap_recording(*face); }
-    } guard{this, &face};
-    return drive();
-  }
-
   explicit batch_backend(std::size_t lanes)
-      : lanes_(lanes == 0 ? 1 : (lanes > max_batch_lanes ? max_batch_lanes
-                                                         : lanes)),
+      : backend(lanes == 0 ? 1
+                           : (lanes > max_batch_lanes ? max_batch_lanes
+                                                      : lanes)),
+        lanes_(activity_.size()),
         active_limit_(lanes_),
-        active_mask_(mask_for_limit()),
-        activity_(lanes_) {
-    for (activity_trace& t : activity_) {
-      t.reserve(4096);
-    }
-  }
+        active_mask_(mask_for_limit()) {}
 
   std::uint64_t mask_for_limit() const noexcept {
     return active_limit_ >= 64 ? ~std::uint64_t{0}
@@ -238,77 +187,49 @@ protected:
     }
   }
 
-  // Per-lane counterparts of backend::emit/emit_weight — same skip rules
-  // (recording off, zero Hamming distance / weight), same event layout.
-
-  void emit_lane(std::size_t lane, component comp, std::uint8_t port,
-                 std::uint32_t before, std::uint32_t after,
-                 std::uint64_t at_cycle) {
-    if (!record_activity_ || before == after) {
-      return;
-    }
-    activity_event ev;
-    ev.cycle = static_cast<std::uint32_t>(at_cycle);
-    ev.comp = comp;
-    ev.lane = port;
-    ev.toggles = static_cast<std::uint8_t>(std::popcount(before ^ after));
-    activity_[lane].push_back(ev);
-  }
-
-  void emit_weight_lane(std::size_t lane, component comp, std::uint8_t port,
-                        std::uint32_t value, std::uint64_t at_cycle) {
-    if (!record_activity_ || value == 0) {
-      return;
-    }
-    activity_event ev;
-    ev.cycle = static_cast<std::uint32_t>(at_cycle);
-    ev.comp = comp;
-    ev.lane = port;
-    ev.toggles = static_cast<std::uint8_t>(std::popcount(value));
-    activity_[lane].push_back(ev);
-  }
-
   std::size_t lanes_;
   std::size_t active_limit_;
   std::uint64_t active_mask_ = 0;
   std::uint64_t diverged_mask_ = 0;
-  std::vector<activity_trace> activity_;
-  std::vector<mark_stamp> marks_;
-  std::uint16_t cutoff_mark_ = 0;
-  bool has_cutoff_mark_ = false;
-  bool record_activity_ = true;
-  bool record_default_ = true;
+  std::uint64_t active_lane_cycles_ = 0; ///< the engines' step() adds
   // Shared front-end position (synced with the lanes at run boundaries).
   std::size_t pc_ = 0;
   bool halted_ = false;
-
-private:
-  void swap_recording(backend& face) noexcept;
 };
 
-/// Constructs a batch backend of the requested kind (batch_pipeline /
-/// batch_ooo_core) over a shared program image.
+/// The one core factory: an engine of the requested kind with `lanes`
+/// lanes over a shared program image.  One lane (or 0) gives the
+/// per-trace core — sim::pipeline, sim::ooo_core, or the oracle
+/// sim::ooo_reference_core when the reference scheduler is selected
+/// (ooo_reference_selected); the oracle has no wider form, so more lanes
+/// under it throw.
 std::unique_ptr<batch_backend> make_batch_backend(
     backend_kind kind, program_image image, const micro_arch_config& config,
     std::size_t lanes);
 
 /// Presents one lane of a batch as a sim::backend so per-trace setup code
 /// (acquisition's setup_fn writes registers/memory through backend&) runs
-/// unchanged against a batch lane.  Only state access forwards; the
-/// simulation-driving entry points (run, step_cycle, reset, rebind,
-/// warm_caches) throw — the batch is driven as a whole.
+/// unchanged against a batch lane.  Only state access forwards — state()
+/// and memory() are the viewed lane's, whatever lane they are asked for;
+/// the simulation-driving entry points (run, step_cycle, reset, rebind,
+/// warm_caches) throw — the batch is driven as a whole — and the view
+/// records nothing itself (no activity buffer: read the batch's).
 class batch_lane_view final : public backend {
 public:
   batch_lane_view(batch_backend& batch, std::size_t lane) noexcept
-      : batch_(&batch), lane_(lane) {}
+      : backend(0), batch_(&batch), lane_(lane) {}
 
   backend_kind kind() const noexcept override { return batch_->kind(); }
-  cpu_state& state() noexcept override { return batch_->state(lane_); }
-  const cpu_state& state() const noexcept override {
+  cpu_state& state(std::size_t = 0) noexcept override {
     return batch_->state(lane_);
   }
-  mem::memory& memory() noexcept override { return batch_->memory(lane_); }
-  const mem::memory& memory() const noexcept override {
+  const cpu_state& state(std::size_t = 0) const noexcept override {
+    return batch_->state(lane_);
+  }
+  mem::memory& memory(std::size_t = 0) noexcept override {
+    return batch_->memory(lane_);
+  }
+  const mem::memory& memory(std::size_t = 0) const noexcept override {
     return batch_->memory(lane_);
   }
   const asmx::program& program() const noexcept override {

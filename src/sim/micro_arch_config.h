@@ -56,8 +56,8 @@ enum class issue_policy : std::uint8_t {
 
 /// Scheduler implementation of the OoO backend.  Both produce bit-identical
 /// retirement order, architectural state and activity streams; `fast` is the
-/// production engine (sim::batch_ooo_core, whose 1-lane face sim::ooo_core
-/// serves per-trace runs), `reference` selects the oracle
+/// production engine (sim::batch_ooo_core; sim::ooo_core is its 1-lane
+/// construction for per-trace runs), `reference` selects the oracle
 /// sim::ooo_reference_core — the original per-cycle linear scans, kept for
 /// the differential equivalence suites
 /// (tests/sim/ooo_equivalence_fuzz_test.cpp).  The USCA_OOO_REFERENCE
@@ -161,8 +161,8 @@ micro_arch_config cortex_a7_scalar() noexcept;
 micro_arch_config cortex_a7_ooo(ooo_config ooo = {}) noexcept;
 
 /// Structural validation of the OoO backend's configuration, shared by
-/// every OoO core (sim::batch_ooo_core, its per-trace face sim::ooo_core
-/// and the oracle sim::ooo_reference_core): widths/depths, the 64-entry
+/// every OoO core (sim::batch_ooo_core, its 1-lane construction
+/// sim::ooo_core and the oracle sim::ooo_reference_core): widths/depths, the 64-entry
 /// sizing caps, the PRF range, issue_width, and — when the effective
 /// predictor speculates — the speculation block.  Throws
 /// util::simulation_error naming the offending field.

@@ -44,6 +44,9 @@ batch_ooo_core::batch_ooo_core(program_image image, micro_arch_config config,
         "the fast scheduler; make_backend builds sim::ooo_reference_core "
         "for ooo.scheduler == reference or USCA_OOO_REFERENCE=1");
   }
+  static const telem::gauge reference_mode{"sim.ooo.reference_mode", "flag",
+                                           "sim"};
+  reference_mode.set(0);
   spec_ = effective_speculation(config_);
   spec_enabled_ = spec_.predictor != predictor_kind::perfect;
   if (spec_enabled_) {
@@ -208,12 +211,6 @@ void batch_ooo_core::warm_caches() {
 }
 
 void batch_ooo_core::run(std::uint64_t max_cycles) {
-  simulate(max_cycles);
-  note_batch_run(active_limit_, active_lane_cycles_);
-  active_lane_cycles_ = 0;
-}
-
-void batch_ooo_core::simulate(std::uint64_t max_cycles) {
   sync_in();
   const std::uint64_t start_cycle = cycle_;
   const std::uint64_t start_skipped = idle_skipped_;
@@ -269,8 +266,8 @@ void batch_ooo_core::drive_prf_port(const std::uint32_t* values) {
   const auto port_lane = static_cast<std::uint8_t>(port);
   for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
     const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::prf_read_port, port_lane,
-              prf_port_state_[base + l], values[l], cycle_);
+    emit(l, component::prf_read_port, port_lane,
+         prf_port_state_[base + l], values[l], cycle_);
     prf_port_state_[base + l] = values[l];
   }
 }
@@ -340,9 +337,9 @@ void batch_ooo_core::retire_stage() {
       const std::size_t vrow = rob_head_ * width<one_lane>();
       for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::rob_retire_port, lane,
-                  retire_port_state_[base + l], rob_value_[vrow + l],
-                  cycle_);
+        emit(l, component::rob_retire_port, lane,
+             retire_port_state_[base + l], rob_value_[vrow + l],
+             cycle_);
         retire_port_state_[base + l] = rob_value_[vrow + l];
       }
     }
@@ -462,8 +459,8 @@ void batch_ooo_core::broadcast_stage() {
         static_cast<std::size_t>(done.rob_slot) * width<one_lane>();
     for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::cdb, bus, cdb_state_[base + l],
-                rob_value_[vrow + l], cycle_);
+      emit(l, component::cdb, bus, cdb_state_[base + l],
+           rob_value_[vrow + l], cycle_);
       cdb_state_[base + l] = rob_value_[vrow + l];
     }
     // The destination tag is lane-invariant: one event for every lane.
@@ -539,15 +536,15 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     }
     for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
-                cycle_ + 2);
+      emit(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
+           cycle_ + 2);
       mdr_state_[l] = rs_mem_word_[row + l];
     }
     if (rs.is_subword && config_.has_align_buffer) {
       for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                  rs_sub_value_[row + l], cycle_ + 3);
+        emit(l, component::align_buffer, 0, align_buffer_state_[l],
+             rs_sub_value_[row + l], cycle_ + 3);
         align_buffer_state_[l] = rs_sub_value_[row + l];
       }
     }
@@ -555,15 +552,15 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     complete_at = cycle_ + 1;
     for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
-                cycle_ + 2);
+      emit(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
+           cycle_ + 2);
       mdr_state_[l] = rs_mem_word_[row + l];
     }
     if (rs.is_subword && config_.has_align_buffer) {
       for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                  rs_sub_value_[row + l], cycle_ + 3);
+        emit(l, component::align_buffer, 0, align_buffer_state_[l],
+             rs_sub_value_[row + l], cycle_ + 3);
         align_buffer_state_[l] = rs_sub_value_[row + l];
       }
     }
@@ -579,22 +576,22 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
         static_cast<std::size_t>(rs.rob_slot) * lanes;
     for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::alu_in_latch, 0, alu_latch_state_[l], src0[l],
-                cycle_ + 1);
+      emit(l, component::alu_in_latch, 0, alu_latch_state_[l], src0[l],
+           cycle_ + 1);
       alu_latch_state_[l] = src0[l];
     }
     if (rs.n_src > 1) {
       for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes + l],
-                  src1[l], cycle_ + 1);
+        emit(l, component::alu_in_latch, 1, alu_latch_state_[lanes + l],
+             src1[l], cycle_ + 1);
         alu_latch_state_[lanes + l] = src1[l];
       }
     }
     for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::alu_out, 0, rob_value_[vrow + l],
-                       complete_at - 1);
+      emit_weight(l, component::alu_out, 0, rob_value_[vrow + l],
+                  complete_at - 1);
     }
   } else {
     std::uint64_t latency = 1;
@@ -602,8 +599,8 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
       latency += static_cast<std::uint64_t>(config_.shift_extra_latency);
       for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_weight_lane(l, component::shift_buffer, 0,
-                         rs_shift_value_[row + l], cycle_ + 1);
+        emit_weight(l, component::shift_buffer, 0,
+                    rs_shift_value_[row + l], cycle_ + 1);
       }
     }
     complete_at = cycle_ + latency;
@@ -617,26 +614,26 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     if (rs.n_src > 0) {
       for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch,
-                  static_cast<std::uint8_t>(alu_index * 2),
-                  alu_latch_state_[base + l], src0[l], cycle_ + 1);
+        emit(l, component::alu_in_latch,
+             static_cast<std::uint8_t>(alu_index * 2),
+             alu_latch_state_[base + l], src0[l], cycle_ + 1);
         alu_latch_state_[base + l] = src0[l];
       }
     }
     if (rs.n_src > 1) {
       for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch,
-                  static_cast<std::uint8_t>(alu_index * 2 + 1),
-                  alu_latch_state_[base + lanes + l], src1[l], cycle_ + 1);
+        emit(l, component::alu_in_latch,
+             static_cast<std::uint8_t>(alu_index * 2 + 1),
+             alu_latch_state_[base + lanes + l], src1[l], cycle_ + 1);
         alu_latch_state_[base + lanes + l] = src1[l];
       }
     }
     for (std::uint64_t m = active<one_lane>() & ~squash; m != 0; m &= m - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::alu_out,
-                       static_cast<std::uint8_t>(alu_index),
-                       rob_value_[vrow + l], complete_at);
+      emit_weight(l, component::alu_out,
+                  static_cast<std::uint8_t>(alu_index),
+                  rob_value_[vrow + l], complete_at);
     }
   }
 

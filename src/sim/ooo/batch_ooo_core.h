@@ -1,8 +1,8 @@
 // The production engine of the out-of-order backend (the model itself is
 // described in ooo_core.h): N independent traces advance through ONE
-// rename/wakeup/select/retire engine per cycle.  Per-trace runs use the
-// same engine with one lane, through its face sim::ooo_core; the only
-// other OoO scheduler is the oracle sim::ooo_reference_core.
+// rename/wakeup/select/retire engine per cycle.  A per-trace core is a
+// 1-lane engine: sim::ooo_core is this class constructed with one lane.
+// The only other OoO scheduler is the oracle sim::ooo_reference_core.
 //
 // The split follows the select-µop predication design: because
 // predication renames the destination and takes the full unit/latency/
@@ -35,7 +35,8 @@
 //
 // Constructing this class under ooo_scheduler::reference (or
 // USCA_OOO_REFERENCE=1) throws: the oracle has no batched twin, and
-// campaigns run it per-trace.
+// campaigns run it in groups of one (make_batch_backend builds it at one
+// lane).
 #ifndef USCA_SIM_OOO_BATCH_OOO_CORE_H
 #define USCA_SIM_OOO_BATCH_OOO_CORE_H
 
@@ -55,7 +56,7 @@
 
 namespace usca::sim {
 
-class batch_ooo_core final : public batch_backend {
+class batch_ooo_core : public batch_backend {
 public:
   /// Throws util::simulation_error for a structurally invalid ooo_config
   /// or when the reference scheduler is selected/forced (see above).
@@ -66,35 +67,44 @@ public:
 
   void reset() override;
   /// Swaps in a different program image and resets.
-  void rebind(program_image image);
+  void rebind(program_image image) override;
   void warm_caches() override;
   void run(std::uint64_t max_cycles = 50'000'000) override;
+  /// One cycle with lane sync (which may skip ahead over idle cycles).
+  bool step_cycle() override;
 
-  cpu_state& state(std::size_t lane) noexcept override {
+  cpu_state& state(std::size_t lane = 0) noexcept override {
     return state_[lane];
   }
-  const cpu_state& state(std::size_t lane) const noexcept override {
+  const cpu_state& state(std::size_t lane = 0) const noexcept override {
     return state_[lane];
   }
-  mem::memory& memory(std::size_t lane) noexcept override {
+  mem::memory& memory(std::size_t lane = 0) noexcept override {
     return memory_[lane];
   }
-  const mem::memory& memory(std::size_t lane) const noexcept override {
+  const mem::memory& memory(std::size_t lane = 0) const noexcept override {
     return memory_[lane];
   }
   const asmx::program& program() const noexcept override { return *prog_; }
   const micro_arch_config& config() const noexcept { return config_; }
 
   std::uint64_t cycles() const noexcept override { return cycle_; }
+  /// Instructions renamed (accepted by the front end), nops and
+  /// condition-failed instructions included — the OoO analogue of the
+  /// pipeline's issued count.
   std::uint64_t instructions_issued() const noexcept override {
     return renamed_;
   }
+  /// Instructions committed at the head of the ROB.
   std::uint64_t instructions_retired() const noexcept { return retired_; }
+  /// Cycles in which the rename stage accepted more than one instruction
+  /// (the OoO analogue of dual-issue pairs).
   std::uint64_t multi_rename_cycles() const noexcept {
     return multi_rename_cycles_;
   }
   /// Branch mispredictions of the shared front end (0 under the perfect
-  /// predictor) and the wrong-path µops they renamed.
+  /// predictor) and the wrong-path µops they renamed — each one toggled
+  /// fetch/rename/RS leakage components before its recovery flush.
   std::uint64_t mispredicts() const noexcept { return mispredicts_; }
   std::uint64_t wrong_path_renamed() const noexcept {
     return wrong_path_renamed_;
@@ -103,15 +113,11 @@ public:
   const speculation_config& speculation() const noexcept { return spec_; }
 
   const mem::cache& icache() const noexcept { return icache_; }
-  const mem::cache& dcache(std::size_t lane) const noexcept {
+  const mem::cache& dcache(std::size_t lane = 0) const noexcept {
     return dcache_[lane];
   }
 
 private:
-  // The per-trace face drives lane 0 cycle by cycle and hands its
-  // recording buffers in and out (batch_backend::drive_face).
-  friend class ooo_core;
-
   static constexpr std::uint8_t no_reg = 0xff;
   static constexpr std::uint32_t no_slot = 0xffffffffU;
   static constexpr std::size_t max_sources = 4;
@@ -163,10 +169,6 @@ private:
 
   void reset_structures();
 
-  /// run() without the batch-occupancy telemetry (the face's run()).
-  void simulate(std::uint64_t max_cycles);
-  /// One cycle with lane sync (the face's step_cycle()).
-  bool step_cycle();
   /// One cycle of the engine, compiled for any width and for one lane
   /// (batch_backend::active()).
   template <bool one_lane>
@@ -339,7 +341,6 @@ private:
   std::uint64_t mispredicts_ = 0;
   std::uint64_t wrong_path_renamed_ = 0;
   std::uint64_t idle_skipped_ = 0;
-  std::uint64_t active_lane_cycles_ = 0;
 };
 
 } // namespace usca::sim

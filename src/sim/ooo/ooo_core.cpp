@@ -2,10 +2,8 @@
 
 #include <cstdlib>
 #include <string>
-#include <utility>
 
 #include "util/error.h"
-#include "util/telemetry.h"
 
 namespace usca::sim {
 
@@ -33,33 +31,6 @@ bool ooo_reference_forced() {
 bool ooo_reference_selected(const micro_arch_config& config) {
   return config.ooo.scheduler == ooo_scheduler::reference ||
          ooo_reference_forced();
-}
-
-ooo_core::ooo_core(asmx::program prog, micro_arch_config config)
-    : ooo_core(program_image(std::move(prog)), config) {}
-
-ooo_core::ooo_core(program_image image, micro_arch_config config)
-    : lane_(std::move(image), config, 1) {
-  activity_.reserve(4096);
-  static const telem::gauge reference_mode{"sim.ooo.reference_mode", "flag",
-                                           "sim"};
-  reference_mode.set(0);
-}
-
-void ooo_core::reset() {
-  lane_.drive_face(*this, [this] { lane_.reset(); });
-}
-
-void ooo_core::rebind(program_image image) {
-  lane_.drive_face(*this, [&] { lane_.rebind(std::move(image)); });
-}
-
-void ooo_core::run(std::uint64_t max_cycles) {
-  lane_.drive_face(*this, [&] { lane_.simulate(max_cycles); });
-}
-
-bool ooo_core::step_cycle() {
-  return lane_.drive_face(*this, [this] { return lane_.step_cycle(); });
 }
 
 } // namespace usca::sim

@@ -41,11 +41,12 @@
 // One production engine implements this model: sim::batch_ooo_core,
 // which advances N traces through one shared scheduler (ready bitmask
 // over an age-ordered ring, per-tag waiter lists, a completion wheel, an
-// idle-cycle skip; speculation included).  This class is its per-trace
-// face — a sim::backend over a 1-lane batch, whose one lane is the leader
-// and so is never ejected.  The only other implementation is the oracle
-// sim::ooo_reference_core (ooo_reference_core.h): the original per-cycle
-// linear scans, bit-identical by contract and enforced by the
+// idle-cycle skip; speculation included).  A per-trace core is a 1-lane
+// engine, and this class is exactly that: sim::batch_ooo_core constructed
+// with one lane, whose one lane is the leader and so is never ejected.
+// The only other implementation is the oracle sim::ooo_reference_core
+// (ooo_reference_core.h), a 1-lane engine of its own: the original
+// per-cycle linear scans, bit-identical by contract and enforced by the
 // differential suites (ctest -L "ooo_equiv|spec|sim_batch").
 // make_backend() picks the oracle when ooo.scheduler == reference or
 // USCA_OOO_REFERENCE=1 is set; constructing this class under either
@@ -53,16 +54,11 @@
 #ifndef USCA_SIM_OOO_OOO_CORE_H
 #define USCA_SIM_OOO_OOO_CORE_H
 
-#include <cstdint>
+#include <utility>
 
 #include "asmx/program.h"
-#include "mem/cache.h"
-#include "mem/memory.h"
-#include "sim/backend.h"
-#include "sim/cpu_state.h"
 #include "sim/micro_arch_config.h"
 #include "sim/ooo/batch_ooo_core.h"
-#include "sim/ooo/speculation.h"
 #include "sim/program_image.h"
 
 namespace usca::sim {
@@ -82,73 +78,19 @@ bool ooo_reference_forced();
 /// (ooo.scheduler == reference, or USCA_OOO_REFERENCE=1).
 bool ooo_reference_selected(const micro_arch_config& config);
 
-class ooo_core final : public backend {
+class ooo_core final : public batch_ooo_core {
 public:
   explicit ooo_core(asmx::program prog,
-                    micro_arch_config config = cortex_a7_ooo());
+                    micro_arch_config config = cortex_a7_ooo())
+      : ooo_core(program_image(std::move(prog)), config) {}
 
   /// Shares an immutable program image instead of copying the program —
   /// the constructor campaign workers use.  Throws util::simulation_error
   /// when the ooo_config is structurally invalid (e.g. prf_size <= 16) or
   /// the reference scheduler is selected (see above).
   explicit ooo_core(program_image image,
-                    micro_arch_config config = cortex_a7_ooo());
-
-  backend_kind kind() const noexcept override { return backend_kind::ooo; }
-
-  void reset() override;
-  void rebind(program_image image) override;
-  void warm_caches() override { lane_.warm_caches(); }
-  void run(std::uint64_t max_cycles = 50'000'000) override;
-  bool step_cycle() override;
-
-  cpu_state& state() noexcept override { return lane_.state(0); }
-  const cpu_state& state() const noexcept override { return lane_.state(0); }
-  mem::memory& memory() noexcept override { return lane_.memory(0); }
-  const mem::memory& memory() const noexcept override {
-    return lane_.memory(0);
-  }
-  const asmx::program& program() const noexcept override {
-    return lane_.program();
-  }
-  const micro_arch_config& config() const noexcept { return lane_.config(); }
-
-  std::uint64_t cycles() const noexcept override { return lane_.cycles(); }
-  /// Instructions renamed (accepted by the front end), nops and
-  /// condition-failed instructions included — the OoO analogue of the
-  /// pipeline's issued count.
-  std::uint64_t instructions_issued() const noexcept override {
-    return lane_.instructions_issued();
-  }
-  /// Instructions committed at the head of the ROB.
-  std::uint64_t instructions_retired() const noexcept {
-    return lane_.instructions_retired();
-  }
-  /// Branch mispredictions taken down the wrong path (0 under the
-  /// perfect predictor).
-  std::uint64_t mispredicts() const noexcept { return lane_.mispredicts(); }
-  /// Wrong-path µops renamed and later squashed by a recovery flush —
-  /// each one toggled fetch/rename/RS leakage components first.
-  std::uint64_t wrong_path_renamed() const noexcept {
-    return lane_.wrong_path_renamed();
-  }
-  /// The speculation block actually in effect (config + env override).
-  const speculation_config& speculation() const noexcept {
-    return lane_.speculation();
-  }
-  /// Cycles in which the rename stage accepted more than one instruction
-  /// (the OoO analogue of dual-issue pairs).
-  std::uint64_t multi_rename_cycles() const noexcept {
-    return lane_.multi_rename_cycles();
-  }
-
-  using mark_stamp = sim::mark_stamp;
-
-  const mem::cache& icache() const noexcept { return lane_.icache(); }
-  const mem::cache& dcache() const noexcept { return lane_.dcache(0); }
-
-private:
-  batch_ooo_core lane_;
+                    micro_arch_config config = cortex_a7_ooo())
+      : batch_ooo_core(std::move(image), config, 1) {}
 };
 
 } // namespace usca::sim

@@ -22,7 +22,8 @@ ooo_reference_core::ooo_reference_core(asmx::program prog,
 
 ooo_reference_core::ooo_reference_core(program_image image,
                                        micro_arch_config config)
-    : image_(std::move(image)),
+    : batch_backend(1),
+      image_(std::move(image)),
       prog_(&image_.prog()),
       config_(config),
       icache_(config.icache),
@@ -34,7 +35,6 @@ ooo_reference_core::ooo_reference_core(program_image image,
     predictor_.configure(spec_);
   }
   memory_.load(prog_->data_base, prog_->data);
-  activity_.reserve(4096);
 
   const ooo_config& ooo = config_.ooo;
   static const telem::gauge reference_mode{"sim.ooo.reference_mode", "flag",
@@ -113,7 +113,7 @@ void ooo_reference_core::reset_structures() {
   wrong_path_renamed_ = 0;
   record_activity_ = record_default_;
   marks_.clear();
-  activity_.clear();
+  activity_[0].clear();
 }
 
 void ooo_reference_core::reset() {
@@ -174,7 +174,8 @@ void ooo_reference_core::drive_prf_port(std::uint32_t value) {
     return; // schedule_stage bounds issue by the port budget
   }
   const auto lane = static_cast<std::uint8_t>(port);
-  emit(component::prf_read_port, lane, prf_port_state_[lane], value, cycle_);
+  emit(0, component::prf_read_port, lane, prf_port_state_[lane], value,
+       cycle_);
   prf_port_state_[lane] = value;
 }
 
@@ -216,7 +217,7 @@ void ooo_reference_core::retire_stage() {
       // "retirement channel" of the covert/side-channel literature.
       const auto lane = static_cast<std::uint8_t>(
           retired_now % static_cast<int>(retire_port_state_.size()));
-      emit(component::rob_retire_port, lane, retire_port_state_[lane],
+      emit(0, component::rob_retire_port, lane, retire_port_state_[lane],
            head.value, cycle_);
       retire_port_state_[lane] = head.value;
     }
@@ -290,10 +291,10 @@ void ooo_reference_core::broadcast_stage() {
     const auto bus = static_cast<std::uint8_t>(
         lane % static_cast<int>(cdb_state_.size()));
     // The result value crosses the CDB to the PRF and every RS entry.
-    emit(component::cdb, bus, cdb_state_[bus], done.result, cycle_);
+    emit(0, component::cdb, bus, cdb_state_[bus], done.result, cycle_);
     cdb_state_[bus] = done.result;
     // The destination tag travels the wakeup network in parallel.
-    emit(component::rs_tag_bus, bus, tag_bus_state_[bus], done.dest_preg,
+    emit(0, component::rs_tag_bus, bus, tag_bus_state_[bus], done.dest_preg,
          cycle_);
     tag_bus_state_[bus] = done.dest_preg;
 
@@ -370,11 +371,11 @@ void ooo_reference_core::issue_entry(rs_entry& rs, int alu_index) {
       lsu_busy_until_ = cycle_ + static_cast<std::uint64_t>(penalty);
     }
     if (!rs.squashed) {
-      emit(component::mdr, 0, mdr_state_, rs.mem_word, cycle_ + 2);
+      emit(0, component::mdr, 0, mdr_state_, rs.mem_word, cycle_ + 2);
       mdr_state_ = rs.mem_word;
       if (rs.is_subword && config_.has_align_buffer) {
-        emit(component::align_buffer, 0, align_buffer_state_, rs.sub_value,
-             cycle_ + 3);
+        emit(0, component::align_buffer, 0, align_buffer_state_,
+             rs.sub_value, cycle_ + 3);
         align_buffer_state_ = rs.sub_value;
       }
     }
@@ -383,11 +384,11 @@ void ooo_reference_core::issue_entry(rs_entry& rs, int alu_index) {
     // at drain, after commit.
     complete_at = cycle_ + 1;
     if (!rs.squashed) {
-      emit(component::mdr, 0, mdr_state_, rs.mem_word, cycle_ + 2);
+      emit(0, component::mdr, 0, mdr_state_, rs.mem_word, cycle_ + 2);
       mdr_state_ = rs.mem_word;
       if (rs.is_subword && config_.has_align_buffer) {
-        emit(component::align_buffer, 0, align_buffer_state_, rs.sub_value,
-             cycle_ + 3);
+        emit(0, component::align_buffer, 0, align_buffer_state_,
+             rs.sub_value, cycle_ + 3);
         align_buffer_state_ = rs.sub_value;
       }
     }
@@ -398,42 +399,44 @@ void ooo_reference_core::issue_entry(rs_entry& rs, int alu_index) {
     }
     if (!rs.squashed) {
       // The multiplier lives on ALU0: operands latch into its input flops.
-      emit(component::alu_in_latch, 0, alu_latch_state_[0], rs.src_value[0],
-           cycle_ + 1);
+      emit(0, component::alu_in_latch, 0, alu_latch_state_[0],
+           rs.src_value[0], cycle_ + 1);
       alu_latch_state_[0] = rs.src_value[0];
       if (rs.n_src > 1) {
-        emit(component::alu_in_latch, 1, alu_latch_state_[1],
+        emit(0, component::alu_in_latch, 1, alu_latch_state_[1],
              rs.src_value[1], cycle_ + 1);
         alu_latch_state_[1] = rs.src_value[1];
       }
-      emit_weight(component::alu_out, 0, rs.result, complete_at - 1);
+      emit_weight(0, component::alu_out, 0, rs.result, complete_at - 1);
     }
   } else {
     std::uint64_t latency = 1;
     if (rs.used_shifter) {
       latency += static_cast<std::uint64_t>(config_.shift_extra_latency);
       if (!rs.squashed) {
-        emit_weight(component::shift_buffer, 0, rs.shift_value, cycle_ + 1);
+        emit_weight(0, component::shift_buffer, 0, rs.shift_value,
+                    cycle_ + 1);
       }
     }
     complete_at = cycle_ + latency;
     if (!rs.squashed) {
       const auto base_lane = static_cast<std::uint8_t>(alu_index * 2);
       if (rs.n_src > 0) {
-        emit(component::alu_in_latch, base_lane, alu_latch_state_[base_lane],
-             rs.src_value[0], cycle_ + 1);
+        emit(0, component::alu_in_latch, base_lane,
+             alu_latch_state_[base_lane], rs.src_value[0], cycle_ + 1);
         alu_latch_state_[base_lane] = rs.src_value[0];
       }
       if (rs.n_src > 1) {
-        emit(component::alu_in_latch,
+        emit(0, component::alu_in_latch,
              static_cast<std::uint8_t>(base_lane + 1),
              alu_latch_state_[static_cast<std::size_t>(base_lane + 1)],
              rs.src_value[1], cycle_ + 1);
         alu_latch_state_[static_cast<std::size_t>(base_lane + 1)] =
             rs.src_value[1];
       }
-      emit_weight(component::alu_out, static_cast<std::uint8_t>(alu_index),
-                  rs.result, complete_at);
+      emit_weight(0, component::alu_out,
+                  static_cast<std::uint8_t>(alu_index), rs.result,
+                  complete_at);
     }
   }
 
@@ -580,8 +583,8 @@ ooo_reference_core::rename_result ooo_reference_core::rename_one(int slot) {
     // RAT write port: the new tag replaces the old mapping.
     const auto lane = static_cast<std::uint8_t>(
         slot % static_cast<int>(rat_port_state_.size()));
-    emit(component::rat_port, lane, rat_port_state_[lane], entry.dest_preg,
-         cycle_);
+    emit(0, component::rat_port, lane, rat_port_state_[lane],
+         entry.dest_preg, cycle_);
     rat_port_state_[lane] = entry.dest_preg;
   };
   // bl's link value is known at rename.
@@ -899,13 +902,13 @@ ooo_reference_core::rename_result ooo_reference_core::rename_one(int slot) {
 
 void ooo_reference_core::emit_bp_table(std::uint8_t lane,
                                        std::uint32_t value) {
-  emit(component::bp_table, lane, bp_table_state_[lane], value, cycle_);
+  emit(0, component::bp_table, lane, bp_table_state_[lane], value, cycle_);
   bp_table_state_[lane] = value;
 }
 
 void ooo_reference_core::emit_btb_port(std::uint8_t lane,
                                        std::uint32_t value) {
-  emit(component::btb_port, lane, btb_port_state_[lane], value, cycle_);
+  emit(0, component::btb_port, lane, btb_port_state_[lane], value, cycle_);
   btb_port_state_[lane] = value;
 }
 

@@ -13,8 +13,11 @@
 // retirement order, architectural state and activity stream to equal
 // this core's at every cycle.
 //
-// make_backend() picks this core when ooo.scheduler == reference or
-// USCA_OOO_REFERENCE=1; campaigns then run per-trace.
+// A per-trace core is a 1-lane engine, and the oracle is one too: a
+// sim::batch_backend with exactly one lane, whose only lane is the leader
+// (nothing is ever agreed or ejected).  make_backend() — the one factory
+// at one lane — picks this core when ooo.scheduler == reference or
+// USCA_OOO_REFERENCE=1; campaigns then run in groups of one.
 #ifndef USCA_SIM_OOO_OOO_REFERENCE_CORE_H
 #define USCA_SIM_OOO_OOO_REFERENCE_CORE_H
 
@@ -25,7 +28,7 @@
 #include "asmx/program.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
-#include "sim/backend.h"
+#include "sim/batch_sim.h"
 #include "sim/cpu_state.h"
 #include "sim/micro_arch_config.h"
 #include "sim/ooo/speculation.h"
@@ -34,7 +37,7 @@
 
 namespace usca::sim {
 
-class ooo_reference_core final : public backend {
+class ooo_reference_core final : public batch_backend {
 public:
   explicit ooo_reference_core(asmx::program prog,
                               micro_arch_config config = cortex_a7_ooo());
@@ -54,10 +57,14 @@ public:
   void run(std::uint64_t max_cycles = 50'000'000) override;
   bool step_cycle() override;
 
-  cpu_state& state() noexcept override { return state_; }
-  const cpu_state& state() const noexcept override { return state_; }
-  mem::memory& memory() noexcept override { return memory_; }
-  const mem::memory& memory() const noexcept override { return memory_; }
+  cpu_state& state(std::size_t = 0) noexcept override { return state_; }
+  const cpu_state& state(std::size_t = 0) const noexcept override {
+    return state_;
+  }
+  mem::memory& memory(std::size_t = 0) noexcept override { return memory_; }
+  const mem::memory& memory(std::size_t = 0) const noexcept override {
+    return memory_;
+  }
   const asmx::program& program() const noexcept override { return *prog_; }
   const micro_arch_config& config() const noexcept { return config_; }
 
@@ -76,7 +83,7 @@ public:
   }
 
   const mem::cache& icache() const noexcept { return icache_; }
-  const mem::cache& dcache() const noexcept { return dcache_; }
+  const mem::cache& dcache(std::size_t = 0) const noexcept { return dcache_; }
 
 private:
   static constexpr std::uint8_t no_reg = 0xff;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -61,7 +62,10 @@ registry& instance() {
   return r;
 }
 
-std::uint64_t parse_number(std::string_view text, std::string_view spec) {
+/// Strict decimal in [0, max]: a value past `max` is refused, never
+/// wrapped into another (armable) hit number or delay.
+std::uint64_t parse_number(std::string_view text, std::string_view spec,
+                           std::uint64_t max) {
   if (text.empty()) {
     throw analysis_error("failpoint spec '" + std::string(spec) +
                          "': expected a number");
@@ -73,7 +77,13 @@ std::uint64_t parse_number(std::string_view text, std::string_view spec) {
                            "': '" + std::string(text) +
                            "' is not a number");
     }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (max - digit) / 10) {
+      throw analysis_error("failpoint spec '" + std::string(spec) +
+                           "': '" + std::string(text) +
+                           "' is out of range");
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -81,7 +91,8 @@ std::uint64_t parse_number(std::string_view text, std::string_view spec) {
 rule parse_rule(std::string_view text, std::string_view spec) {
   rule r;
   if (const std::size_t at = text.rfind('@'); at != std::string_view::npos) {
-    r.hit = parse_number(text.substr(at + 1), spec);
+    r.hit = parse_number(text.substr(at + 1), spec,
+                         std::numeric_limits<std::uint64_t>::max());
     if (r.hit == 0) {
       throw analysis_error("failpoint spec '" + std::string(spec) +
                            "': hit numbers are 1-based");
@@ -108,7 +119,8 @@ rule parse_rule(std::string_view text, std::string_view spec) {
     r.action = action_kind::corrupt;
   } else if (action == "delay") {
     r.action = action_kind::delay;
-    r.delay_ms = static_cast<unsigned>(parse_number(param, spec));
+    r.delay_ms = static_cast<unsigned>(
+        parse_number(param, spec, std::numeric_limits<unsigned>::max()));
   } else {
     throw analysis_error("failpoint spec '" + std::string(spec) +
                          "': unknown action '" + std::string(action) +

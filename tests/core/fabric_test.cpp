@@ -281,6 +281,44 @@ TEST_F(FabricTest, ManifestConfigBindingIsEnforced) {
   EXPECT_THROW(core::campaign_fabric{reseeded}, util::analysis_error);
 }
 
+// A manifest stripped of its binding lines binds to nothing, so it must
+// be refused at load — not accepted for any campaign, to dead-end later
+// when the done shards fail revalidation against the new one.
+TEST_F(FabricTest, ManifestMissingBindingLinesIsRefusedAtLoad) {
+  fabric_fixture fx("unbound");
+  {
+    core::campaign_fabric fabric(fx.config);
+    core::thread_worker_runner runner = archive_runner();
+    fabric.run(runner); // a finished run's kept manifest
+  }
+  std::string kept;
+  {
+    std::ifstream in(fx.config.manifest_path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("seed ", 0) != 0 && line.rfind("config_hash ", 0) != 0) {
+        kept += line + "\n";
+      }
+    }
+  }
+  std::ofstream(fx.config.manifest_path, std::ios::trunc) << kept;
+
+  core::fabric_config reseeded = fx.config;
+  reseeded.seed = 7;
+  for (const core::fabric_config& config : {fx.config, reseeded}) {
+    try {
+      core::campaign_fabric fabric(config);
+      FAIL() << "a manifest without its binding lines must not load";
+    } catch (const util::analysis_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("missing 'config_hash' line"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_THROW(core::parse_manifest(fx.config.manifest_path),
+               util::analysis_error);
+}
+
 TEST_F(FabricTest, ExhaustedLeaseThrowsButKeepsTheJournal) {
   fabric_fixture fx("exhausted");
   core::fabric_config config = fx.config;

@@ -1,19 +1,31 @@
-// Mutation fuzz of the two on-disk formats' parsers: the trace store
-// (its reader in strict and salvage mode, and trace_store_writer::resume,
-// which walks with the reader) and the fabric manifest
-// (core::parse_manifest and the coordinator's reload on top of it).
-// Real bytes from a small fabric run are bit-flipped, truncated, spliced
-// chunk- or line-wise, and field-forged with their checksums fixed,
-// under a fixed seed.  Every parser must either accept or throw
-// util::analysis_error, and whatever it accepts must obey the store's
-// contracts: salvage refuses only a damaged file header, and resume()
-// keeps an exact byte prefix holding a prefix of the original records.
+// Mutation fuzz of the repository's parsers of outside input, under
+// fixed seeds and bounded rounds.
+//
+// The two on-disk formats: the trace store (its reader in strict and
+// salvage mode, and trace_store_writer::resume, which walks with the
+// reader) and the fabric manifest (core::parse_manifest and the
+// coordinator's reload on top of it).  Real bytes from a small fabric
+// run are bit-flipped, truncated, spliced chunk- or line-wise, and
+// field-forged with their checksums fixed.  Every parser must either
+// accept or throw util::analysis_error, and whatever it accepts must obey
+// the store's contracts: salvage refuses only a damaged file header, and
+// resume() keeps an exact byte prefix holding a prefix of the original
+// records.
+//
+// Worker heartbeat files (core::read_heartbeat) and the strict USCA_*
+// environment parsers (USCA_SIM_BATCH, USCA_OOO_REFERENCE,
+// USCA_SPEC_PREDICTOR, USCA_BATCH_KERNEL, USCA_FAILPOINT) get the same
+// treatment from valid inputs: a value, or a typed util::usca_error —
+// never a crash, and never undefined behaviour (run this suite under
+// -DUSCA_SANITIZE=ON too).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -21,10 +33,16 @@
 #include <vector>
 
 #include "core/campaign_fabric.h"
+#include "core/campaign_telemetry.h"
 #include "power/trace_io.h"
 #include "power/trace_store_reader.h"
+#include "sim/batch_sim.h"
+#include "sim/ooo/ooo_core.h"
+#include "sim/ooo/speculation.h"
+#include "stats/batch_kernels.h"
 #include "util/crc32.h"
 #include "util/error.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace usca {
@@ -419,6 +437,174 @@ TEST_F(ParserFuzz, MutatedManifestsAreAcceptedOrRefusedCleanly) {
   EXPECT_GT(loaded, 0u);
   EXPECT_GT(parsed, loaded);
   EXPECT_LT(parsed, static_cast<std::size_t>(k_rounds));
+}
+
+/// Mutates one short text input: bit flips, a truncation, a duplicated
+/// or dropped span, an inserted byte, or a splice of format vocabulary.
+std::string mutate_text(std::string text, util::xoshiro256& rng) {
+  static const char* const vocabulary[] = {
+      "18446744073709551616", "99999999999999999999999", "-1", "0", "64",
+      "65", "0x10", "1e3", " ", "\"", "}", "{", ":", ";", "@", "@0",
+      "crash", "delay", "done", "running", "gshare", "avx2"};
+  switch (pick(rng, 5)) {
+  case 0:
+    for (std::size_t k = 1 + pick(rng, 3); k > 0 && !text.empty(); --k) {
+      text[pick(rng, text.size())] ^= static_cast<char>(1 << pick(rng, 8));
+    }
+    break;
+  case 1:
+    text.resize(pick(rng, text.size()));
+    break;
+  case 2: { // a span duplicated (to past a line buffer, sometimes) or cut
+    const std::size_t at = pick(rng, text.size() + 1);
+    const std::size_t len = pick(rng, text.size() - at + 1);
+    if (pick(rng, 2) == 0) {
+      const std::string span = text.substr(at, len);
+      for (std::size_t k = 1 + pick(rng, 64); k > 0; --k) {
+        text.insert(at, span);
+      }
+    } else {
+      text.erase(at, len);
+    }
+    break;
+  }
+  case 3:
+    text.insert(pick(rng, text.size() + 1), 1,
+                static_cast<char>(rng.next_u32()));
+    break;
+  default: {
+    const std::size_t at = pick(rng, text.size() + 1);
+    text.replace(at, pick(rng, text.size() - at + 1),
+                 vocabulary[pick(rng, std::size(vocabulary))]);
+  }
+  }
+  return text;
+}
+
+/// Runs `fn`: true when it returned, false when it threw a typed
+/// util::usca_error.  Any other exception escapes and fails the test.
+template <typename Fn> bool accepts_typed(Fn&& fn) {
+  try {
+    fn();
+    return true;
+  } catch (const util::usca_error&) {
+    return false;
+  }
+}
+
+TEST(HeartbeatFuzz, MutatedHeartbeatsReadAsValuesOrNothing) {
+  const std::string dir = "/tmp/usca_heartbeat_fuzz_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/shard.trc.hb";
+  core::worker_heartbeat hb;
+  hb.pid = 31337;
+  hb.first_index = 4096;
+  hb.traces = 2000;
+  hb.produced = 1234;
+  hb.wall_ms = 1722000000123ULL;
+  hb.state = "running";
+  core::write_heartbeat(path, hb);
+  const std::string original = file_bytes(path);
+  ASSERT_TRUE(core::read_heartbeat(path).has_value());
+
+  util::xoshiro256 rng(0x4eb7);
+  std::size_t read = 0;
+  for (int round = 0; round < k_rounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    write_bytes(path, mutate_text(original, rng));
+    // read_heartbeat never throws: a torn or foreign file is a gap.
+    const std::optional<core::worker_heartbeat> got =
+        core::read_heartbeat(path);
+    if (!got) {
+      continue;
+    }
+    ++read;
+    // Whatever it accepts is a heartbeat the writer could have written.
+    ASSERT_FALSE(got->state.empty());
+    core::write_heartbeat(path, *got);
+    const std::optional<core::worker_heartbeat> again =
+        core::read_heartbeat(path);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->pid, got->pid);
+    EXPECT_EQ(again->first_index, got->first_index);
+    EXPECT_EQ(again->traces, got->traces);
+    EXPECT_EQ(again->produced, got->produced);
+    EXPECT_EQ(again->wall_ms, got->wall_ms);
+    EXPECT_EQ(again->state, got->state);
+  }
+  EXPECT_GT(read, 0u);
+  EXPECT_LT(read, static_cast<std::size_t>(k_rounds));
+  fs::remove_all(dir);
+}
+
+TEST(EnvParserFuzz, MutatedValuesParseOrThrowTyped) {
+  struct parser {
+    const char* name;
+    std::vector<std::string> valid;
+    std::function<void(const std::string&)> parse;
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+  };
+  std::vector<parser> parsers;
+  parsers.push_back({"USCA_SIM_BATCH",
+                     {"", "0", "1", "7", "32", "64"},
+                     [](const std::string& v) {
+                       EXPECT_LE(sim::parse_sim_batch_env(v.c_str()),
+                                 sim::max_batch_lanes);
+                     }});
+  parsers.push_back({"USCA_OOO_REFERENCE",
+                     {"", "0", "1"},
+                     [](const std::string& v) {
+                       (void)sim::parse_ooo_reference_env(v.c_str());
+                     }});
+  parsers.push_back({"USCA_SPEC_PREDICTOR",
+                     {"", "perfect", "static", "bimodal", "gshare"},
+                     [](const std::string& v) {
+                       (void)sim::parse_spec_predictor_env(v.c_str());
+                     }});
+  parsers.push_back({"USCA_BATCH_KERNEL",
+                     {"", "generic", "avx2", "neon"},
+                     [](const std::string& v) {
+                       (void)stats::kernels_for_env(v.c_str());
+                     }});
+  // Arming only: a rule fires when its site is evaluated, and every
+  // round disarms again before anything could evaluate one.
+  parsers.push_back({"USCA_FAILPOINT",
+                     {"", "store_write_chunk:crash@7", "fabric_worker:corrupt",
+                      "archive_record:error@100;store_write_chunk:delay:50@3"},
+                     [](const std::string& v) {
+                       util::failpoint_configure(v);
+                       util::failpoint_clear();
+                     }});
+
+  util::xoshiro256 rng(0xe7f022);
+  for (int round = 0; round < 4 * k_rounds; ++round) {
+    parser& p = parsers[pick(rng, parsers.size())];
+    const std::string value =
+        mutate_text(p.valid[pick(rng, p.valid.size())], rng);
+    SCOPED_TRACE(std::string(p.name) + "='" + value + "'");
+    if (accepts_typed([&] { p.parse(value); })) {
+      ++p.accepted;
+    } else {
+      ++p.refused;
+    }
+  }
+  for (const parser& p : parsers) {
+    SCOPED_TRACE(p.name);
+    EXPECT_GT(p.accepted, 0u);
+    EXPECT_GT(p.refused, 0u);
+  }
+
+  // Numbers past their range are refused, not wrapped into another
+  // (valid) value.
+  EXPECT_THROW(sim::parse_sim_batch_env("18446744073709551617"),
+               util::simulation_error);
+  EXPECT_THROW(util::failpoint_configure("site:error@18446744073709551617"),
+               util::analysis_error);
+  EXPECT_THROW(util::failpoint_configure("site:delay:4294967297"),
+               util::analysis_error);
+  util::failpoint_clear();
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // Bit-identity contract of the batched SoA engines (sim/batch_sim.h):
 // every surviving lane of a batch run must produce EXACTLY the activity
 // stream, marks, cycle count, and architectural state of a per-trace run
-// (make_backend: the engine's 1-lane face) with the same inputs — at every
+// (make_backend: the engine at one lane) with the same inputs — at every
 // batch size, on both backends.  The AES campaign workload must never
 // eject a lane (its schedule is data-independent by construction); random
 // conditional programs exercise the ejection protocol, where the leader

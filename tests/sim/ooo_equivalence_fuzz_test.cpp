@@ -1,7 +1,7 @@
 // Differential fuzzing of the two OoO scheduler implementations.
 //
-// The production scheduler (sim::batch_ooo_core, driven per-trace through
-// its 1-lane face sim::ooo_core: ready bitmasks, tag-indexed wakeup,
+// The production scheduler (sim::batch_ooo_core, run per-trace as its
+// 1-lane construction sim::ooo_core: ready bitmasks, tag-indexed wakeup,
 // constant-time CDB arbitration, idle-cycle skip) claims absolute
 // bit-identity with the oracle sim::ooo_reference_core's per-cycle linear
 // scans: identical retirement order, identical architectural state, and

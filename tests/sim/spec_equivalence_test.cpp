@@ -6,10 +6,11 @@
 //   2. Speculation changes ONLY timing and activity: for every predictor
 //      kind, the architectural results (registers, flags, memory, mark
 //      ids) of seeded random programs are identical to the spec-off run.
-//   3. The production engine (sim::batch_ooo_core, per-trace through its
-//      1-lane face sim::ooo_core) and the oracle sim::ooo_reference_core
-//      stay bit-identical under speculation — wrong-path rename,
-//      dispatch, issue and the recovery flush included — and so does
+//   3. The production engine (sim::batch_ooo_core, per-trace as its
+//      1-lane construction sim::ooo_core) and the oracle
+//      sim::ooo_reference_core stay bit-identical under speculation —
+//      wrong-path rename, dispatch, issue and the recovery flush
+//      included — and so does
 //      every surviving lane of a speculating batch.
 //   4. Recovery flushes nest correctly behind in-flight wrong-path
 //      branches, and RSB over/underflow stays deterministic.
