@@ -37,6 +37,7 @@
 #include "core/acquisition.h"
 #include "crypto/aes_codegen.h"
 #include "sim/ooo/ooo_core.h"
+#include "sim/ooo/ooo_reference_core.h"
 #include "stats/attack_metrics.h"
 #include "stats/cpa.h"
 #include "stats/ttest.h"
@@ -107,6 +108,29 @@ make_campaign(const crypto::aes_program_layout& layout,
   return campaign;
 }
 
+/// Mispredicts of one plain run of the victim on an all-zero plaintext.
+/// The run takes the same OoO implementation a campaign would: the oracle
+/// when USCA_OOO_REFERENCE=1 (or the config) selects it.
+template <typename Core>
+std::uint64_t census_on(const crypto::aes_program_layout& layout,
+                        const crypto::aes_round_keys& rk,
+                        const sim::micro_arch_config& arch) {
+  Core core(sim::program_image(layout.prog), arch);
+  core.set_record_activity(false);
+  crypto::install_aes_inputs(core.memory(), layout, rk, crypto::aes_block{});
+  core.warm_caches();
+  core.run();
+  return core.mispredicts();
+}
+
+std::uint64_t mispredict_census(const crypto::aes_program_layout& layout,
+                                const crypto::aes_round_keys& rk,
+                                const sim::micro_arch_config& arch) {
+  return sim::ooo_reference_selected(arch)
+             ? census_on<sim::ooo_reference_core>(layout, rk, arch)
+             : census_on<sim::ooo_core>(layout, rk, arch);
+}
+
 cell_result run_cell(const crypto::aes_program_layout& layout,
                      const crypto::aes_round_keys& rk, const spec_cell& cell,
                      std::size_t max_traces, std::size_t tvla_traces,
@@ -114,16 +138,8 @@ cell_result run_cell(const crypto::aes_program_layout& layout,
   cell_result out;
 
   // --- mispredict census: one plain run of the victim ------------------
-  {
-    sim::ooo_core core(sim::program_image(layout.prog),
-                       sim::cortex_a7_ooo_spec(cell.spec));
-    core.set_record_activity(false);
-    crypto::install_aes_inputs(core.memory(), layout, rk,
-                               crypto::aes_block{});
-    core.warm_caches();
-    core.run();
-    out.mispredicts = core.mispredicts();
-  }
+  out.mispredicts =
+      mispredict_census(layout, rk, sim::cortex_a7_ooo_spec(cell.spec));
 
   // --- CPA campaign: acquire once, evaluate MTD on prefixes ------------
   // The branchy victim's timing is data-dependent, so windows differ in
@@ -265,16 +281,12 @@ int main(int argc, char** argv) {
   // branch is a direct call or an RSB-covered return — so the predictor
   // design point cannot matter there.
   {
-    const crypto::aes_program_layout ct = crypto::generate_aes128_program();
-    sim::ooo_core core(sim::program_image(ct.prog),
-                       sim::cortex_a7_ooo_spec(tiny_gshare));
-    core.set_record_activity(false);
-    crypto::install_aes_inputs(core.memory(), ct, rk, crypto::aes_block{});
-    core.warm_caches();
-    core.run();
+    const std::uint64_t mispredicts =
+        mispredict_census(crypto::generate_aes128_program(), rk,
+                          sim::cortex_a7_ooo_spec(tiny_gshare));
     std::printf("\ncontrol: constant-time AES under the worst predictor "
                 "(gshare 16-entry): %llu mispredicts\n",
-                static_cast<unsigned long long>(core.mispredicts()));
+                static_cast<unsigned long long>(mispredicts));
   }
 
   std::printf("\nReading: every mispredict is a secret branch direction\n"

@@ -33,6 +33,7 @@
 #include "core/acquisition.h"
 #include "isa/instruction.h"
 #include "sim/ooo/ooo_core.h"
+#include "sim/ooo/ooo_reference_core.h"
 #include "stats/ttest.h"
 #include "util/error.h"
 
@@ -175,12 +176,15 @@ asmx::program build_covert_program(std::uint32_t& msg_addr_out) {
   return builder.build();
 }
 
-void run_covert_channel(const sim::speculation_config& spec) {
+/// Part B on `Core`: the production engine, or the oracle when
+/// USCA_OOO_REFERENCE=1 (or the config) selects it.
+template <typename Core>
+void run_covert_channel(const sim::micro_arch_config& arch) {
   std::uint32_t msg_addr = 0;
   const asmx::program prog = build_covert_program(msg_addr);
   const std::uint8_t message = 0xb2; // 1011 0010, LSB first
 
-  sim::ooo_core core(sim::program_image(prog), sim::cortex_a7_ooo_spec(spec));
+  Core core(sim::program_image(prog), arch);
   for (std::uint32_t bit = 0; bit < 8; ++bit) {
     core.memory().write8(msg_addr + bit, (message >> bit) & 1);
   }
@@ -300,7 +304,13 @@ int main(int argc, char** argv) {
   // under it; 20 cycles pushes the mispredict stall well clear of the
   // baseline and the channel decodes from raw cycle deltas.
   covert_spec.resolve_latency = 20;
-  run_covert_channel(covert_spec);
+  const sim::micro_arch_config covert_arch =
+      sim::cortex_a7_ooo_spec(covert_spec);
+  if (sim::ooo_reference_selected(covert_arch)) {
+    run_covert_channel<sim::ooo_reference_core>(covert_arch);
+  } else {
+    run_covert_channel<sim::ooo_core>(covert_arch);
+  }
 
   return part_a_ok ? 0 : 1;
 }

@@ -90,7 +90,16 @@ std::vector<token> tokenize_line(std::string_view text, int line) {
     }
 
     if (std::isdigit(static_cast<unsigned char>(ch))) {
+      // Refused as soon as the value passes 32 bits, so no digit string is
+      // long enough to wrap the accumulator.
       std::uint64_t value = 0;
+      const auto accumulate = [&](unsigned base, unsigned digit) {
+        value = value * base + digit;
+        if (value > 0xffffffffULL) {
+          throw util::assembly_error("integer literal exceeds 32 bits", line,
+                                     tok.column);
+        }
+      };
       if (ch == '0' && pos + 1 < len &&
           (text[pos + 1] == 'x' || text[pos + 1] == 'X')) {
         pos += 2;
@@ -102,7 +111,7 @@ std::vector<token> tokenize_line(std::string_view text, int line) {
               std::isdigit(static_cast<unsigned char>(d))
                   ? d - '0'
                   : 10 + (std::tolower(static_cast<unsigned char>(d)) - 'a');
-          value = value * 16 + static_cast<std::uint64_t>(nibble);
+          accumulate(16, static_cast<unsigned>(nibble));
           ++pos;
         }
         if (pos == digits_start) {
@@ -114,7 +123,7 @@ std::vector<token> tokenize_line(std::string_view text, int line) {
         pos += 2;
         const std::size_t digits_start = pos;
         while (pos < len && (text[pos] == '0' || text[pos] == '1')) {
-          value = value * 2 + static_cast<std::uint64_t>(text[pos] - '0');
+          accumulate(2, static_cast<unsigned>(text[pos] - '0'));
           ++pos;
         }
         if (pos == digits_start) {
@@ -123,13 +132,9 @@ std::vector<token> tokenize_line(std::string_view text, int line) {
         }
       } else {
         while (pos < len && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-          value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
+          accumulate(10, static_cast<unsigned>(text[pos] - '0'));
           ++pos;
         }
-      }
-      if (value > 0xffffffffULL) {
-        throw util::assembly_error("integer literal exceeds 32 bits", line,
-                                   tok.column);
       }
       tok.kind = token_kind::integer;
       tok.value = static_cast<std::uint32_t>(value);

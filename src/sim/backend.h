@@ -52,6 +52,8 @@ struct mark_stamp {
   std::uint16_t id = 0;
   std::uint64_t cycle = 0;
   std::uint64_t dual_pairs = 0;
+
+  friend bool operator==(const mark_stamp&, const mark_stamp&) = default;
 };
 
 enum class backend_kind : std::uint8_t {

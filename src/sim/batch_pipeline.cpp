@@ -689,12 +689,15 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // outcome is therefore lane-local data (the AES xtime `eorne`!), not
   // control: the batch gates the lane's emissions and register write and
   // never ejects.  Shifted ops (latency > 1: the scoreboard write IS
-  // observable next cycle), flag writers (flags_ready_), and conditional
-  // movw/movt stay on the agreement path.
+  // observable next cycle), flag writers (flags_ready_), conditional
+  // movw/movt, and ops whose rd still awaits an in-flight load, mul or
+  // shifted result (a failed lane keeps that later ready time and stalls
+  // its next consumer) stay on the agreement path.
   std::uint64_t exec_mask = active<one_lane>();
   if (ins.cond != isa::condition::al) {
     const bool relaxed = !used_shifter && !writes_flags(ins) &&
-                         ins.op != opcode::movw && ins.op != opcode::movt;
+                         ins.op != opcode::movw && ins.op != opcode::movt &&
+                         reg_ready_[isa::index_of(ins.rd)] <= cycle_ + 1;
     if (relaxed) {
       exec_mask = 0;
       for (std::uint64_t m = active<one_lane>(); m != 0; m &= m - 1) {

@@ -58,9 +58,9 @@ enum class issue_policy : std::uint8_t {
 /// retirement order, architectural state and activity streams; `fast` is the
 /// production engine (sim::batch_ooo_core; sim::ooo_core is its 1-lane
 /// construction for per-trace runs), `reference` selects the oracle
-/// sim::ooo_reference_core — the original per-cycle linear scans, kept for
-/// the differential equivalence suites
-/// (tests/sim/ooo_equivalence_fuzz_test.cpp).  The USCA_OOO_REFERENCE
+/// sim::ooo_reference_core — the original per-cycle linear scans, kept as
+/// the oracle of the differential engine matrix
+/// (tests/sim/differential_test.cpp).  The USCA_OOO_REFERENCE
 /// environment variable (set to "1") forces `reference` in make_backend —
 /// a whole-suite toggle that needs no rebuild.  Not part of the archive
 /// config hash: an implementation choice, not a design point.

@@ -47,7 +47,8 @@
 // The only other implementation is the oracle sim::ooo_reference_core
 // (ooo_reference_core.h), a 1-lane engine of its own: the original
 // per-cycle linear scans, bit-identical by contract and enforced by the
-// differential suites (ctest -L "ooo_equiv|spec|sim_batch").
+// differential engine matrix and the directed suites
+// (ctest -L "ooo_equiv|spec|sim_batch").
 // make_backend() picks the oracle when ooo.scheduler == reference or
 // USCA_OOO_REFERENCE=1 is set; constructing this class under either
 // throws.

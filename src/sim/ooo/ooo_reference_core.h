@@ -7,11 +7,12 @@
 // issue slot, wakeup re-walks every RS entry per CDB broadcast, CDB
 // arbitration re-scans the in-flight list per lane, and every cycle is
 // stepped (no idle skip).  It exists only to be an independent
-// implementation: the differential suites (tests/sim/
-// ooo_equivalence_fuzz_test.cpp, spec_equivalence_test.cpp, the
-// lane-vs-oracle batch suites) require the production engine's
-// retirement order, architectural state and activity stream to equal
-// this core's at every cycle.
+// implementation: the differential engine matrix (tests/sim/
+// differential_test.cpp, every engine shape and predictor setting) and
+// the directed suites (ooo_equivalence_fuzz_test.cpp, the lane-vs-oracle
+// AES batches of spec_equivalence_test.cpp) require the production
+// engine's retirement order, architectural state and activity stream to
+// equal this core's at every cycle.
 //
 // A per-trace core is a 1-lane engine, and the oracle is one too: a
 // sim::batch_backend with exactly one lane, whose only lane is the leader

@@ -23,8 +23,9 @@
 // The engine's cycle stages are compiled for one lane as well, so
 // per-trace runs cost what a scalar core would.  There is no second
 // in-order model to diff against; the independent checks are the
-// functional executor (architectural state, tests/sim/
-// differential_test.cpp) and the golden pins of the original scalar
+// functional executor (architectural state, in the differential engine
+// matrix tests/sim/differential_test.cpp, which also holds every lane
+// count to the 1-lane run) and the golden pins of the original scalar
 // model's exact activity (tests/sim/inorder_activity_golden_test.cpp,
 // the campaign record digests and the AES round-1 window digest).
 #ifndef USCA_SIM_PIPELINE_H

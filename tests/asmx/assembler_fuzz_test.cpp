@@ -1,13 +1,18 @@
-// Fuzz property: any instruction the library can construct disassembles
-// to text that re-assembles to the identical instruction.  This closes the
-// loop between the three AL32 representations (IR, text, binary) beyond
-// the fixed corpus in disasm_test.cpp.
+// Fuzz properties of the assembler.  Round trip: any instruction the
+// library can construct disassembles to text that re-assembles to the
+// identical instruction, closing the loop between the three AL32
+// representations (IR, text, binary) beyond the fixed corpus in
+// disasm_test.cpp.  Mutation: damaged assembly text comes back as a
+// program or a util::assembly_error, never anything else.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "asmx/assembler.h"
 #include "isa/disasm.h"
 #include "isa/encoding.h"
 #include "util/bitops.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace usca::asmx {
@@ -159,6 +164,59 @@ TEST_P(AssemblerFuzz, EncodeDecodeRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AssemblerFuzz,
                          ::testing::Values(1ull, 2ull, 3ull, 4ull));
+
+// Byte flips, inserts, deletes and truncations of valid assembly — labels,
+// directives, expressions and random instructions — must assemble or throw
+// util::assembly_error: no other exception, crash or UB (the sanitizer
+// job runs this suite).  At most four edits per mutant, so no mutant can
+// grow `.space` or `.align` past a few hundred kilobytes.
+TEST(AssemblerMutationFuzz, MutantsAssembleOrThrowAssemblyError) {
+  static constexpr char alphabet[] = "0123456789abcdefx#[],:-+.;@/ \n\trlsh()";
+  util::xoshiro256 rng(0x3a7a7e);
+  int accepted = 0;
+  int refused = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string text = ".equ size, 0x40\n.data\n.align 4\n"
+                       "table: .word 1, 2, size\nbuf: .space 8\n"
+                       ".text\nstart:\n  lda r0, table\n"
+                       "  ldi r3, #0x12345678\n  movw r1, #lo(buf)\n";
+    for (int i = 0; i < 6; ++i) {
+      text += isa::disassemble(random_instruction(rng)) + "\n";
+    }
+    text += "  bne start ; loop\n";
+    const int edits = 1 + static_cast<int>(rng.bounded(4));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng.bounded(text.size());
+      switch (rng.bounded(4)) {
+      case 0:
+        text[at] = static_cast<char>(text[at] ^ (1 << rng.bounded(8)));
+        break;
+      case 1:
+        text.insert(at, 1,
+                    rng.bounded(2) != 0
+                        ? alphabet[rng.bounded(sizeof alphabet - 1)]
+                        : static_cast<char>(rng.bounded(256)));
+        break;
+      case 2:
+        text.erase(at, 1);
+        break;
+      default:
+        text.resize(at);
+        break;
+      }
+    }
+    try {
+      (void)assemble(text);
+      ++accepted;
+    } catch (const util::assembly_error&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      FAIL() << "round " << round << ": " << e.what() << " on:\n" << text;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+}
 
 } // namespace
 } // namespace usca::asmx

@@ -62,6 +62,21 @@ TEST(Lexer, RejectsOversizedLiteral) {
   EXPECT_THROW(tokenize_line("4294967296", 3), util::assembly_error);
 }
 
+// Literals long enough to wrap a 64-bit accumulator back to a small value
+// must be refused too, in every base.
+TEST(Lexer, RejectsLiteralsThatWrapSixtyFourBits) {
+  EXPECT_EQ(tokenize_line("0b11111111111111111111111111111111", 1)[0].value,
+            0xffffffffu);
+  for (const char* text :
+       {"18446744073709551617", "0x10000000000000001",
+        "0b10000000000000000000000000000000000000000000000000000000000000001",
+        "0b100000000000000000000000000000000", "00000000004294967296"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(tokenize_line(text, 1), util::assembly_error);
+  }
+  EXPECT_EQ(tokenize_line("0x00000000ffffffff", 1)[0].value, 0xffffffffu);
+}
+
 TEST(Lexer, RejectsMalformedHex) {
   EXPECT_THROW(tokenize_line("0x", 1), util::assembly_error);
 }

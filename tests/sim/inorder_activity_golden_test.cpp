@@ -1,9 +1,10 @@
-// Cross-version pins of the in-order Cortex-A7 model's exact output on the
-// fixed-seed random-program corpus of batch_sim_equivalence_test.cpp.
+// Cross-version pins of the in-order Cortex-A7 model's exact output on a
+// fixed-seed random-program corpus.
 //
-// For every program × input of BatchSimFuzz (seed 0xf022ba11, 12 programs
-// × 8 register inputs) and for every input of its
-// ConditionalBranchEjectsDisagreeingLanes program, one per-trace
+// For every program × input of the corpus (seed 0xf022ba11, 12 programs
+// of 50 instructions × 8 register inputs, drawn program first, then its
+// inputs) and for every input of the directed program of
+// BatchSimFuzz.ConditionalBranchEjectsDisagreeingLanes, one per-trace
 // sim::pipeline run is folded into an FNV-1a digest: the full activity
 // stream (cycle, component, port, toggles of every event, in emission
 // order), the cycle, issue and dual-issue counts, every mark (id, cycle,
@@ -13,8 +14,8 @@
 // other; these constants are what ties that engine to the model's output
 // across versions.  They were generated by running this computation on the
 // original scalar per-trace model (print `got` below).  Do NOT update them
-// to make a failure pass without first proving, via the functional-executor
-// differential (tests/sim/differential_test.cpp) and the CPA suites, that
+// to make a failure pass without first proving, via the differential
+// engine matrix (tests/sim/differential_test.cpp) and the CPA suites, that
 // the change to the modelled schedule or activity is intended.
 #include <gtest/gtest.h>
 
@@ -92,7 +93,7 @@ TEST(InorderActivityGolden, BatchSimFuzzCorpusIsPinned) {
   constexpr std::size_t inputs = 8;
   util::xoshiro256 rng(0xf022ba11);
   for (std::size_t round = 0; round < golden_fuzz_digests.size(); ++round) {
-    // Same draw order as BatchSimFuzz: the program, then every input.
+    // Draw order: the program, then every input.
     const asmx::program prog = random_program(rng, 50);
     const std::uint32_t buffer = *prog.symbol("buffer");
     std::array<std::array<std::uint32_t, 8>, inputs> init{};

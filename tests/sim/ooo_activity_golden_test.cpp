@@ -14,8 +14,8 @@
 // The constants were generated by running this very computation once
 // (print `digest` below) and are part of the repo's regression surface:
 // do NOT update them to make a failure pass without first proving, via
-// tests/sim/ooo_equivalence_fuzz_test.cpp and the CPA suites, that the
-// change to the underlying schedule is intended.
+// the differential engine matrix (tests/sim/differential_test.cpp) and
+// the CPA suites, that the change to the underlying schedule is intended.
 #include <gtest/gtest.h>
 
 #include <cstdint>

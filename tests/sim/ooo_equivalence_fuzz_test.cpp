@@ -1,160 +1,22 @@
-// Differential fuzzing of the two OoO scheduler implementations.
-//
-// The production scheduler (sim::batch_ooo_core, run per-trace as its
-// 1-lane construction sim::ooo_core: ready bitmasks, tag-indexed wakeup,
-// constant-time CDB arbitration, idle-cycle skip) claims absolute
-// bit-identity with the oracle sim::ooo_reference_core's per-cycle linear
-// scans: identical retirement order, identical architectural state, and
-// an identical 14-component activity stream at every cycle.  That
-// contract is what makes the scheduler rewrite trustworthy — the
-// synthesizer's power model is driven directly by the activity stream,
-// so any divergence silently changes every downstream trace.  This suite
-// enforces it on hundreds of seeded random programs across the default
-// engine and the stress-sweep shapes, plus a directed regression for the
-// classic wakeup/select hazard.
+// Directed bit-identity regression between the production OoO scheduler
+// (sim::batch_ooo_core, per-trace as its 1-lane construction
+// sim::ooo_core) and the oracle sim::ooo_reference_core.  The random-
+// program half of that contract — every engine shape and predictor
+// setting — lives in the differential engine matrix
+// (differential_test.cpp); this suite keeps the classic wakeup/select
+// hazard no random corpus is guaranteed to line up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <vector>
 
 #include "asmx/program.h"
-#include "random_program.h"
 #include "sim/ooo/ooo_core.h"
 #include "sim/ooo/ooo_reference_core.h"
-#include "util/rng.h"
 
 namespace usca::sim {
 namespace {
 
 using isa::reg;
-using testing::random_program;
-using testing::random_program_buffer_words;
-
-/// Everything the equivalence contract covers, snapshotted after a run.
-struct run_snapshot {
-  std::array<std::uint32_t, 16> regs{};
-  isa::flags flags;
-  std::vector<std::uint32_t> buffer_words;
-  std::uint64_t cycles = 0;
-  std::uint64_t renamed = 0;
-  std::uint64_t retired = 0;
-  std::uint64_t multi_rename_cycles = 0;
-  std::vector<mark_stamp> marks;
-  activity_trace activity;
-};
-
-template <typename Core>
-run_snapshot run_program(const asmx::program& prog,
-                         const micro_arch_config& arch,
-                         const std::array<std::uint32_t, 8>& inputs,
-                         std::uint32_t index_r11) {
-  Core core(prog, arch);
-  for (std::size_t r = 0; r < inputs.size(); ++r) {
-    core.state().regs[r] = inputs[r];
-  }
-  const std::uint32_t buffer = *prog.symbol("buffer");
-  core.state().set_reg(reg::r10, buffer);
-  core.state().set_reg(reg::r11, index_r11);
-  core.state().set_reg(reg::r12, buffer + 4 * random_program_buffer_words);
-  core.warm_caches();
-  core.run();
-
-  run_snapshot snap;
-  snap.regs = core.state().regs;
-  snap.flags = core.state().f;
-  snap.buffer_words.reserve(random_program_buffer_words);
-  for (std::uint32_t w = 0; w < random_program_buffer_words; ++w) {
-    snap.buffer_words.push_back(core.memory().read32(buffer + 4 * w));
-  }
-  snap.cycles = core.cycles();
-  snap.renamed = core.instructions_issued();
-  snap.retired = core.instructions_retired();
-  snap.multi_rename_cycles = core.multi_rename_cycles();
-  snap.marks = core.marks();
-  snap.activity = core.activity();
-  return snap;
-}
-
-void expect_identical(const run_snapshot& fast, const run_snapshot& ref,
-                      std::uint64_t seed) {
-  ASSERT_EQ(fast.regs, ref.regs) << "seed=" << seed;
-  ASSERT_EQ(fast.flags, ref.flags) << "seed=" << seed;
-  ASSERT_EQ(fast.buffer_words, ref.buffer_words) << "seed=" << seed;
-  ASSERT_EQ(fast.cycles, ref.cycles) << "seed=" << seed;
-  ASSERT_EQ(fast.renamed, ref.renamed) << "seed=" << seed;
-  ASSERT_EQ(fast.retired, ref.retired) << "seed=" << seed;
-  ASSERT_EQ(fast.multi_rename_cycles, ref.multi_rename_cycles)
-      << "seed=" << seed;
-  ASSERT_EQ(fast.marks.size(), ref.marks.size()) << "seed=" << seed;
-  for (std::size_t m = 0; m < fast.marks.size(); ++m) {
-    ASSERT_EQ(fast.marks[m].id, ref.marks[m].id) << "seed=" << seed;
-    ASSERT_EQ(fast.marks[m].cycle, ref.marks[m].cycle) << "seed=" << seed;
-    ASSERT_EQ(fast.marks[m].dual_pairs, ref.marks[m].dual_pairs)
-        << "seed=" << seed;
-  }
-  // vector<activity_event>::operator== — cycle-exact, order-exact.
-  ASSERT_EQ(fast.activity, ref.activity) << "seed=" << seed;
-}
-
-struct equivalence_case {
-  const char* name;
-  std::uint64_t seed_base;
-  ooo_config ooo;
-};
-
-class OooEquivalenceFuzzTest
-    : public ::testing::TestWithParam<equivalence_case> {};
-
-TEST_P(OooEquivalenceFuzzTest, FastSchedulerIsBitIdenticalToReference) {
-  const equivalence_case param = GetParam();
-
-  micro_arch_config fast_arch = cortex_a7_ooo(param.ooo);
-  micro_arch_config ref_arch = fast_arch;
-  ref_arch.ooo.scheduler = ooo_scheduler::reference;
-  ASSERT_EQ(fast_arch.ooo.scheduler, ooo_scheduler::fast);
-
-  constexpr int programs = 200;
-  for (int p = 0; p < programs; ++p) {
-    const std::uint64_t seed = param.seed_base + static_cast<std::uint64_t>(p);
-    util::xoshiro256 rng(seed);
-    // Vary program length so short drains and long structural-pressure
-    // runs are both covered.
-    const int length = 20 + static_cast<int>(rng.bounded(60));
-    const asmx::program prog = random_program(rng, length);
-    std::array<std::uint32_t, 8> inputs;
-    for (auto& v : inputs) {
-      v = rng.next_u32();
-    }
-    const auto index_r11 =
-        static_cast<std::uint32_t>(rng.bounded(random_program_buffer_words));
-
-    const run_snapshot fast =
-        run_program<ooo_core>(prog, fast_arch, inputs, index_r11);
-    const run_snapshot ref =
-        run_program<ooo_reference_core>(prog, ref_arch, inputs, index_r11);
-    expect_identical(fast, ref, seed);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomPrograms, OooEquivalenceFuzzTest,
-    ::testing::Values(
-        // The paper-facing design point.
-        equivalence_case{"default", 0xe0'0001, ooo_config{}},
-        // Tiny machine: 4-entry ROB, scalar rename/retire/CDB, 2 RS
-        // entries — every structural stall path, constant wrap-around of
-        // the age ring at minimal occupancy.
-        equivalence_case{"tiny", 0xe0'2000,
-                         ooo_config{4, 1, 1, 2, 24, 1, 1}},
-        // Wide machine at the 64-entry sizing cap: deep ROB/RS, 4-wide
-        // rename/retire/CDB — maximal in-flight window, full-ring
-        // occupancy, multi-lane CDB arbitration.
-        equivalence_case{"wide", 0xe0'4000,
-                         ooo_config{64, 4, 4, 32, 128, 4, 8}}),
-    [](const ::testing::TestParamInfo<equivalence_case>& info) {
-      return info.param.name;
-    });
 
 // Regression: same-cycle wakeup + select of a µop whose LAST outstanding
 // operand arrives on the FINAL CDB slot of the cycle.  The reference
