@@ -14,8 +14,10 @@
 //   * TVLA fixed-vs-random max |t| — model-free leakage magnitude.
 //
 // Every campaign runs through core::trace_campaign (parallel, per-index
-// seeded, bit-identical at any thread count); the MTD search evaluates
-// prefixes of one acquired trace matrix, so it costs no extra simulation.
+// seeded, bit-identical at any thread count); the MTD search feeds
+// prefixes of one acquired trace matrix to the partitioned CPA engine
+// (bench::cpa_attack_cost), so it costs no extra simulation, and TVLA
+// streams through core::tvla_sink.
 //
 // Defaults: max_traces=1200, tvla_traces=800, averaging=4.
 #include <cmath>
@@ -23,12 +25,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/analysis_sinks.h"
 #include "core/campaign.h"
 #include "crypto/aes_codegen.h"
-#include "stats/attack_metrics.h"
-#include "stats/cpa.h"
-#include "stats/ttest.h"
-#include "util/bitops.h"
 
 using namespace usca;
 
@@ -82,31 +81,12 @@ cell_result run_cell(const ablation_cell& cell, std::size_t max_traces,
     plaintexts.push_back(rec.plaintext);
     traces.push_back(std::move(rec.samples));
   });
-
-  const auto model_at = [&](std::size_t byte_index, std::size_t n) {
-    stats::cpa_engine cpa(traces.front().size(), 256);
-    std::vector<double> h(256);
-    for (std::size_t t = 0; t < std::min(n, traces.size()); ++t) {
-      for (std::size_t g = 0; g < 256; ++g) {
-        h[g] = util::hamming_weight(crypto::subbytes_hypothesis(
-            plaintexts[t][byte_index], static_cast<std::uint8_t>(g)));
-      }
-      cpa.add_trace(traces[t], h);
-    }
-    return cpa.solve();
-  };
-
-  out.mtd = stats::measurements_to_disclosure(
-      [&](std::size_t n) {
-        return model_at(0, n).distinguishing_z(key[0]);
-      },
-      2.326, 50, max_traces);
-
-  for (std::size_t b = 0; b < 16; ++b) {
-    if (model_at(b, max_traces).rank_of(key[b]) == 0) {
-      ++out.full_key_bytes;
-    }
-  }
+  std::vector<double> matrix;
+  const std::size_t width = bench::pack_rows(traces, matrix);
+  const bench::cpa_cost cost =
+      bench::cpa_attack_cost(matrix, width, plaintexts, key);
+  out.mtd = cost.mtd;
+  out.full_key_bytes = cost.key_bytes;
 
   // --- TVLA campaign: fixed-vs-random keyed on index parity ------------
   const crypto::aes_block fixed_pt = {0xda, 0x39, 0xa3, 0xee, 0x5e, 0x6b,
@@ -127,19 +107,9 @@ cell_result run_cell(const ablation_cell& cell, std::size_t max_traces,
         }
         return pt;
       });
-  stats::tvla_accumulator acc(0);
-  bool ready = false;
-  tvla_campaign.run([&](core::trace_record&& rec) {
-    if (!ready) {
-      acc = stats::tvla_accumulator(rec.samples.size());
-      ready = true;
-    }
-    if (rec.index % 2 == 0) {
-      acc.add_fixed(rec.samples);
-    } else {
-      acc.add_random(rec.samples);
-    }
-  });
+  core::tvla_sink tvla; // even indices = the fixed class, as above
+  tvla_campaign.run(tvla);
+  const stats::tvla_accumulator& acc = tvla.tvla();
   out.tvla_max_t = acc.max_abs_t();
   out.tvla_leaking = acc.leaking_samples();
   return out;

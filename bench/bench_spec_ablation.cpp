@@ -22,8 +22,10 @@
 //
 // Metrics per design point, following bench_ooo_ablation: CPA
 // measurements-to-disclosure (key byte 0, HW(SubBytes-out), Fisher-z >
-// 2.326) on prefixes of one acquired matrix; full-key recovery; TVLA
-// fixed-vs-random max |t|.  Speculating configs batch like any other;
+// 2.326) on prefixes of one acquired matrix, through the partitioned CPA
+// engine (bench::cpa_attack_cost); full-key recovery; TVLA
+// fixed-vs-random max |t| over the matrix truncated to its shortest
+// window.  Speculating configs batch like any other;
 // lanes whose secret-dependent branches diverge from their batch are
 // ejected and redone per-trace, so the numbers match a per-trace run.
 //
@@ -38,10 +40,7 @@
 #include "crypto/aes_codegen.h"
 #include "sim/ooo/ooo_core.h"
 #include "sim/ooo/ooo_reference_core.h"
-#include "stats/attack_metrics.h"
-#include "stats/cpa.h"
 #include "stats/ttest.h"
-#include "util/bitops.h"
 
 using namespace usca;
 
@@ -146,70 +145,43 @@ cell_result run_cell(const crypto::aes_program_layout& layout,
   // length per trace; every trace is truncated to the shortest before
   // the fixed-width CPA/TVLA accumulators see it.
   std::vector<power::trace> traces;
-  std::vector<std::vector<double>> labels;
+  std::vector<crypto::aes_block> plaintexts;
   traces.reserve(max_traces);
-  labels.reserve(max_traces);
+  plaintexts.reserve(max_traces);
   core::acquisition_campaign campaign = make_campaign(
       layout, rk,
       base_config(cell.spec, max_traces, threads, averaging, seed), false);
   campaign.run([&](core::acquisition_record&& rec) {
-    labels.push_back(std::move(rec.labels));
+    crypto::aes_block pt; // the labels are the plaintext bytes
+    for (std::size_t b = 0; b < pt.size(); ++b) {
+      pt[b] = static_cast<std::uint8_t>(rec.labels[b]);
+    }
+    plaintexts.push_back(pt);
     traces.push_back(std::move(rec.samples));
   });
-  std::size_t samples = traces.front().size();
-  for (const power::trace& t : traces) {
-    samples = std::min(samples, t.size());
-  }
-  out.window_samples = samples;
-
-  const auto model_at = [&](std::size_t byte_index, std::size_t n) {
-    stats::cpa_engine cpa(samples, 256);
-    std::vector<double> h(256);
-    for (std::size_t t = 0; t < std::min(n, traces.size()); ++t) {
-      const auto pt_byte =
-          static_cast<std::uint8_t>(labels[t][byte_index]);
-      for (std::size_t g = 0; g < 256; ++g) {
-        h[g] = util::hamming_weight(crypto::subbytes_hypothesis(
-            pt_byte, static_cast<std::uint8_t>(g)));
-      }
-      cpa.add_trace(std::span<const double>(traces[t]).first(samples), h);
-    }
-    return cpa.solve();
-  };
-
-  out.mtd = stats::measurements_to_disclosure(
-      [&](std::size_t n) {
-        return model_at(0, n).distinguishing_z(bench_key[0]);
-      },
-      2.326, 50, max_traces);
-
-  for (std::size_t b = 0; b < 16; ++b) {
-    if (model_at(b, max_traces).rank_of(bench_key[b]) == 0) {
-      ++out.full_key_bytes;
-    }
-  }
+  std::vector<double> matrix;
+  out.window_samples = bench::pack_rows(traces, matrix);
+  const bench::cpa_cost cost =
+      bench::cpa_attack_cost(matrix, out.window_samples, plaintexts, bench_key);
+  out.mtd = cost.mtd;
+  out.full_key_bytes = cost.key_bytes;
 
   // --- TVLA campaign: fixed-vs-random keyed on index parity ------------
   core::acquisition_config tvla_config = base_config(
       cell.spec, tvla_traces, threads, averaging, seed ^ 0x51ec0000ULL);
   core::acquisition_campaign tvla_campaign =
       make_campaign(layout, rk, tvla_config, true);
-  stats::tvla_accumulator acc(0);
-  std::vector<power::trace> fixed_traces;
-  std::vector<power::trace> random_traces;
-  std::size_t tvla_samples = ~std::size_t{0};
+  traces.clear();
   tvla_campaign.run([&](core::acquisition_record&& rec) {
-    tvla_samples = std::min(tvla_samples, rec.samples.size());
-    (rec.index % 2 == 0 ? fixed_traces : random_traces)
-        .push_back(std::move(rec.samples));
+    traces.push_back(std::move(rec.samples));
   });
-  acc = stats::tvla_accumulator(tvla_samples);
-  for (const power::trace& t : fixed_traces) {
-    acc.add_fixed(std::span<const double>(t).first(tvla_samples));
+  const std::size_t tvla_samples = bench::pack_rows(traces, matrix);
+  std::vector<unsigned char> is_fixed(traces.size());
+  for (std::size_t r = 0; r < is_fixed.size(); ++r) {
+    is_fixed[r] = r % 2 == 0 ? 1 : 0; // first_index 0: row r is index r
   }
-  for (const power::trace& t : random_traces) {
-    acc.add_random(std::span<const double>(t).first(tvla_samples));
-  }
+  stats::tvla_accumulator acc(tvla_samples);
+  acc.add_batch(matrix.data(), tvla_samples, traces.size(), is_fixed);
   out.tvla_max_t = acc.max_abs_t();
   out.tvla_leaking = acc.leaking_samples();
   return out;

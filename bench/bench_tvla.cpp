@@ -7,7 +7,8 @@
 // The assessment covers the full first round.
 //
 // Acquisition runs through core::trace_campaign with a fixed-vs-random
-// plaintext policy keyed on the trace index parity; the per-index seeding
+// plaintext policy keyed on the trace index parity, into a core::tvla_sink
+// that splits the populations by the same parity; the per-index seeding
 // keeps both populations bit-reproducible at any thread count.
 //
 // Defaults: traces=2000 (1000 fixed + 1000 random), averaging=4,
@@ -15,6 +16,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/analysis_sinks.h"
 #include "core/campaign.h"
 #include "crypto/aes_codegen.h"
 #include "stats/ttest.h"
@@ -59,20 +61,10 @@ tvla_outcome run_tvla(bool os_noise, std::size_t traces, int averaging,
         return pt;
       });
 
-  stats::tvla_accumulator acc(0);
-  bool ready = false;
+  core::tvla_sink tvla; // even indices = the fixed class, as above
   const bench::stopwatch watch;
-  campaign.run([&](core::trace_record&& rec) {
-    if (!ready) {
-      acc = stats::tvla_accumulator(rec.samples.size());
-      ready = true;
-    }
-    if (rec.index % 2 == 0) {
-      acc.add_fixed(rec.samples);
-    } else {
-      acc.add_random(rec.samples);
-    }
-  });
+  campaign.run(tvla);
+  const stats::tvla_accumulator& acc = tvla.tvla();
 
   tvla_outcome out;
   out.elapsed = watch.seconds();

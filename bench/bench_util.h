@@ -1,17 +1,27 @@
 // Shared helpers for the experiment harnesses: a small key=value command
 // line parser (every bench runs standalone with sensible defaults),
-// wall-clock timing, ASCII table rendering, and machine-readable report
+// wall-clock timing, ASCII table rendering, machine-readable report
 // emission (JSON documents are built with util/json_writer.h — benches
-// must not hand-roll escaping or comma placement).
+// must not hand-roll escaping or comma placement), and the ablation
+// benches' CPA attack cost over one acquired trace matrix.
 #ifndef USCA_BENCH_BENCH_UTIL_H
 #define USCA_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "crypto/aes_codegen.h"
+#include "power/trace.h"
+#include "stats/attack_metrics.h"
+#include "stats/cpa.h"
+#include "util/bitops.h"
 #include "util/json_writer.h"
 
 namespace usca::bench {
@@ -108,6 +118,70 @@ inline void print_rule(int width) {
 inline void write_json_report(std::FILE* out, const util::json_writer& w) {
   const std::string text = w.line();
   std::fwrite(text.data(), 1, text.size(), out);
+}
+
+/// Packs `traces` row-major into `matrix`, each truncated to the
+/// shortest (a victim with data-dependent timing yields windows of
+/// different lengths); returns the row width.
+inline std::size_t pack_rows(const std::vector<power::trace>& traces,
+                             std::vector<double>& matrix) {
+  std::size_t width = traces.empty() ? 0 : traces.front().size();
+  for (const power::trace& t : traces) {
+    width = std::min(width, t.size());
+  }
+  matrix.clear();
+  matrix.reserve(traces.size() * width);
+  for (const power::trace& t : traces) {
+    matrix.insert(matrix.end(), t.begin(),
+                  t.begin() + static_cast<std::ptrdiff_t>(width));
+  }
+  return width;
+}
+
+/// CPA attack cost of one acquired campaign under the HW(SubBytes-out)
+/// model: measurements-to-disclosure of key byte 0 (Fisher-z > 2.326,
+/// searched from 50 traces up to all of them) and the number of key
+/// bytes at rank 0 over every trace.
+struct cpa_cost {
+  std::size_t mtd = 0;
+  int key_bytes = 0;
+};
+
+/// Row r of `matrix` (row-major, `width` samples per row) is the trace of
+/// `plaintexts[r]`.  Every MTD probe solves a partitioned CPA fed the
+/// matrix's first n rows in one add_batch(), so the search costs no
+/// extra simulation.
+inline cpa_cost cpa_attack_cost(const std::vector<double>& matrix,
+                                std::size_t width,
+                                const std::vector<crypto::aes_block>& plaintexts,
+                                const crypto::aes_key& key) {
+  const auto model = [](std::size_t guess, std::size_t pt_byte) {
+    return static_cast<double>(util::hamming_weight(
+        crypto::subbytes_hypothesis(static_cast<std::uint8_t>(pt_byte),
+                                    static_cast<std::uint8_t>(guess))));
+  };
+  std::vector<std::uint8_t> partitions(plaintexts.size());
+  const auto solve_prefix = [&](std::size_t byte_index, std::size_t n) {
+    for (std::size_t r = 0; r < n; ++r) {
+      partitions[r] = plaintexts[r][byte_index];
+    }
+    stats::partitioned_cpa cpa(width);
+    cpa.add_batch(std::span<const std::uint8_t>(partitions).first(n),
+                  matrix.data(), width, n);
+    return cpa.solve(model, 256);
+  };
+  cpa_cost out;
+  out.mtd = stats::measurements_to_disclosure(
+      [&](std::size_t n) {
+        return solve_prefix(0, n).distinguishing_z(key[0]);
+      },
+      2.326, 50, plaintexts.size());
+  for (std::size_t b = 0; b < key.size(); ++b) {
+    if (solve_prefix(b, plaintexts.size()).rank_of(key[b]) == 0) {
+      ++out.key_bytes;
+    }
+  }
+  return out;
 }
 
 } // namespace usca::bench

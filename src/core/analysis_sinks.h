@@ -8,7 +8,6 @@
 #define USCA_CORE_ANALYSIS_SINKS_H
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -87,20 +86,13 @@ private:
   std::optional<stats::partitioned_cpa> cpa_;
 };
 
-/// Streams batches into a TVLA accumulator; `is_fixed` classifies each
-/// record into the fixed or the random population (default: the TVLA
-/// campaign convention — even indices are the fixed class).
+/// Streams batches into a TVLA accumulator under the TVLA campaign
+/// convention: even record indices are the fixed class, odd ones the
+/// random class.
 class tvla_sink final : public analysis_pass {
 public:
-  using classifier_fn = std::function<bool(const trace_view&)>;
-
-  explicit tvla_sink(classifier_fn is_fixed = {},
-                     window_spec window = window_spec::all())
-      : is_fixed_(is_fixed ? std::move(is_fixed)
-                           : [](const trace_view& v) {
-                               return v.index % 2 == 0;
-                             }),
-        window_(window) {}
+  explicit tvla_sink(window_spec window = window_spec::all())
+      : window_(window) {}
 
   window_spec window() const override { return window_; }
 
@@ -123,9 +115,7 @@ public:
     }
     classes_.resize(batch.count);
     for (std::size_t r = 0; r < batch.count; ++r) {
-      const trace_view view{batch.index(r), batch.labels_row(r),
-                            batch.samples_row(r)};
-      classes_[r] = is_fixed_(view) ? 1 : 0;
+      classes_[r] = batch.index(r) % 2 == 0 ? 1 : 0;
     }
     tvla_->add_batch(batch.samples, batch.sample_stride, batch.count,
                      classes_);
@@ -142,7 +132,6 @@ public:
   }
 
 private:
-  classifier_fn is_fixed_;
   window_spec window_;
   std::vector<unsigned char> classes_; ///< per-batch scratch
   std::optional<stats::tvla_accumulator> tvla_;

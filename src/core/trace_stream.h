@@ -42,14 +42,6 @@
 
 namespace usca::core {
 
-/// One record of the stream.  The spans are valid only during the
-/// consume() call (live sources reuse buffers; archive sources may remap).
-struct trace_view {
-  std::size_t index = 0;
-  std::span<const double> labels;
-  std::span<const double> samples;
-};
-
 /// What a source knows about its stream before delivering it.  Archive
 /// sources know everything from the store header; live sources know the
 /// trace count and first index but discover sample/label counts from the
@@ -134,18 +126,7 @@ public:
   virtual void for_each_batch(std::size_t max_batch,
                               const batch_fn& fn) = 0;
 
-  /// Per-record convenience over for_each_batch (row unrolling).
-  void for_each(const std::function<void(const trace_view&)>& fn) {
-    for_each_batch(default_batch_traces,
-                   [&fn](const trace_batch_view& batch) {
-                     for (std::size_t r = 0; r < batch.count; ++r) {
-                       fn(trace_view{batch.index(r), batch.labels_row(r),
-                                     batch.samples_row(r)});
-                     }
-                   });
-  }
-
-  /// Default tile size of pump()/for_each(): matches the trace store's
+  /// Default tile size of pump(): matches the trace store's
   /// default chunk size, so archive replay stays whole-chunk zero-copy.
   static constexpr std::size_t default_batch_traces = 256;
 };

@@ -1,15 +1,17 @@
 // Register-blocked batch accumulate/solve kernels behind runtime
 // dispatch.
 //
-// The blocked CPA/TVLA accumulators stream traces through fixed sample
-// blocks; the batch kernels process one such block across a whole tile
-// of traces, so the block's accumulator lanes stay register/L1-resident
-// while every row of the batch streams past.  Each accumulator element
-// is still updated once per trace, in ascending trace order — exactly
-// the order of the per-trace path — so every kernel, at any batch size,
-// produces bit-identical sums (the batch-identity tests pin this, and it
-// is why the AVX2 variants use separate multiply/add instead of FMA: a
-// fused multiply-add rounds once, the scalar path rounds twice).
+// These kernels are the only place a trace is added to CPA or TVLA
+// state: the blocked accumulators stream traces through fixed sample
+// blocks, and a kernel processes one such block across a whole tile of
+// traces (a single trace is a one-row tile), so the block's accumulator
+// lanes stay register/L1-resident while every row of the batch streams
+// past.  Each accumulator element is still updated once per trace, in
+// ascending trace order — the order of one-row-at-a-time delivery — so
+// every kernel, at any batch size, produces bit-identical sums (the
+// batch-identity tests pin this, and it is why the AVX2 variants use
+// separate multiply/add instead of FMA: a fused multiply-add rounds once,
+// the scalar path rounds twice).
 //
 // Dispatch is resolved once at first use: the AVX2 set on x86-64 CPUs
 // that support it, the NEON set on AArch64, the portable auto-vectorized
@@ -35,7 +37,7 @@ struct batch_kernels {
   /// part = part_base + partitions[r] * part_stride, and for each
   /// i in [0, n): sum[i] += t[i]; sum_sq[i] += t[i]*t[i];
   /// part[i] += t[i].  Rows ascend, so per-element accumulation order
-  /// equals the per-trace path.
+  /// equals one-row-at-a-time delivery.
   void (*cpa_accumulate)(double* sum, double* sum_sq, double* part_base,
                          std::size_t part_stride,
                          const std::uint8_t* partitions,

@@ -154,31 +154,12 @@ partitioned_cpa::partitioned_cpa(std::size_t samples)
 
 void partitioned_cpa::add_trace(std::uint8_t partition,
                                 std::span<const double> trace) {
+  // add_batch() accepts any stride at least the trace length; one trace
+  // must match it exactly.
   if (trace.size() != samples_) {
     throw util::analysis_error("partitioned_cpa: trace length mismatch");
   }
-  ++traces_;
-  ++part_n_[partition];
-  // Blocked accumulation: one cache-resident block of the trace updates
-  // the three contiguous accumulator streams in a single pass.  The
-  // restrict qualifiers license vectorization (the spans never alias the
-  // accumulators); per-sample updates are order-independent, so the
-  // result is bit-identical to the scalar form at any block size.
-  for (std::size_t base = 0; base < samples_; base += block_samples) {
-    const std::size_t n = std::min(block_samples, samples_ - base);
-    const double* __restrict t = trace.data() + base;
-    double* __restrict sum_t = sum_t_.data() + base;
-    double* __restrict sum_tt = sum_tt_.data() + base;
-    double* __restrict row = part_sum_.data() +
-                             static_cast<std::size_t>(partition) * samples_ +
-                             base;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = t[i];
-      sum_t[i] += v;
-      sum_tt[i] += v * v;
-      row[i] += v;
-    }
-  }
+  add_batch({&partition, 1}, trace.data(), samples_, 1);
 }
 
 void partitioned_cpa::add_batch(std::span<const std::uint8_t> partitions,

@@ -83,11 +83,11 @@ private:
 ///
 /// The accumulation hot path is *blocked*: traces stream through
 /// fixed-size sample blocks whose per-block sum / sum-of-squares /
-/// per-partition cross arrays are updated in contiguous tight loops the
-/// compiler auto-vectorizes (no std::function, no per-sample dispatch).
-/// The block size is a compile-time constant, so the accumulation order —
-/// and therefore every floating-point result — is independent of trace
-/// length, thread count and delivery batching.
+/// per-partition cross arrays are updated by the batch kernels
+/// (stats/batch_kernels.h), the one accumulate loop; a single trace is a
+/// one-row batch.  The block size is a compile-time constant, so the
+/// accumulation order — and therefore every floating-point result — is
+/// independent of trace length, thread count and delivery batching.
 class partitioned_cpa {
 public:
   static constexpr std::size_t num_partitions = 256;
@@ -97,15 +97,17 @@ public:
 
   explicit partitioned_cpa(std::size_t samples);
 
-  /// Adds one trace under its known input byte (the partition).
+  /// Adds one trace under its known input byte (the partition): a
+  /// one-row add_batch().  Throws util::analysis_error unless the trace
+  /// holds exactly samples() values.
   void add_trace(std::uint8_t partition, std::span<const double> trace);
 
   /// Adds a batch of `rows` traces at once: row r's samples start at
   /// samples + r * sample_stride and belong to partitions[r].  Runs the
   /// register-blocked batch kernels (stats/batch_kernels.h) but updates
   /// every accumulator element in ascending row order, so the result is
-  /// bit-identical to the equivalent add_trace sequence at any batch
-  /// size.
+  /// bit-identical at any batch size.  The stride may exceed samples()
+  /// (a wider tile's leading window).
   void add_batch(std::span<const std::uint8_t> partitions,
                  const double* samples, std::size_t sample_stride,
                  std::size_t rows);

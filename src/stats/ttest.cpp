@@ -9,6 +9,16 @@
 
 namespace usca::stats {
 
+namespace {
+
+void require_length(std::span<const double> trace, std::size_t samples) {
+  if (trace.size() != samples) {
+    throw util::analysis_error("tvla: trace length mismatch");
+  }
+}
+
+} // namespace
+
 welch_result welch_t_from_moments(std::uint64_t count_a, double mean_a,
                                   double var_a, std::uint64_t count_b,
                                   double mean_b, double var_b) noexcept {
@@ -41,30 +51,6 @@ tvla_accumulator::tvla_accumulator(std::size_t samples)
   fixed_.sum_sq.assign(samples, 0.0);
   random_.sum.assign(samples, 0.0);
   random_.sum_sq.assign(samples, 0.0);
-}
-
-void tvla_accumulator::add(population& group,
-                           std::span<const double> trace) {
-  if (trace.size() != samples_) {
-    throw util::analysis_error("tvla: trace length mismatch");
-  }
-  if (!centered_) {
-    std::copy(trace.begin(), trace.end(), center_.begin());
-    centered_ = true;
-  }
-  ++group.count;
-  for (std::size_t base = 0; base < samples_; base += block_samples) {
-    const std::size_t n = std::min(block_samples, samples_ - base);
-    const double* __restrict t = trace.data() + base;
-    const double* __restrict c = center_.data() + base;
-    double* __restrict sum = group.sum.data() + base;
-    double* __restrict sum_sq = group.sum_sq.data() + base;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dx = t[i] - c[i];
-      sum[i] += dx;
-      sum_sq[i] += dx * dx;
-    }
-  }
 }
 
 void tvla_accumulator::add_batch(const double* samples,
@@ -121,12 +107,18 @@ void tvla_accumulator::add_batch(const double* samples,
   accumulate(random_, random_rows_);
 }
 
+// One trace is a one-row batch.  add_batch() accepts any stride at least
+// the trace length; a single trace must match it exactly.
 void tvla_accumulator::add_fixed(std::span<const double> trace) {
-  add(fixed_, trace);
+  static constexpr unsigned char fixed = 1;
+  require_length(trace, samples_);
+  add_batch(trace.data(), samples_, 1, {&fixed, 1});
 }
 
 void tvla_accumulator::add_random(std::span<const double> trace) {
-  add(random_, trace);
+  static constexpr unsigned char random = 0;
+  require_length(trace, samples_);
+  add_batch(trace.data(), samples_, 1, {&random, 1});
 }
 
 welch_result tvla_accumulator::at(std::size_t sample) const noexcept {

@@ -39,8 +39,8 @@ welch_result welch_t_from_moments(std::uint64_t count_a, double mean_a,
 ///
 /// Internally a blocked structure-of-arrays accumulator: each population
 /// keeps contiguous per-sample sum and sum-of-squares arrays updated in
-/// fixed-size blocks by plain tight loops (no per-sample objects, no
-/// virtual dispatch), which the compiler auto-vectorizes.  Values are
+/// fixed-size blocks by the batch kernels (stats/batch_kernels.h), the
+/// one accumulate loop; a single trace is a one-row batch.  Values are
 /// accumulated relative to a per-sample center taken from the first trace,
 /// so the moment sums stay small and the t statistics match a per-sample
 /// Welford accumulation to ~1e-12 relative.  The block size is fixed, so
@@ -53,6 +53,9 @@ public:
 
   explicit tvla_accumulator(std::size_t samples);
 
+  /// Adds one trace to the fixed / random population: a one-row
+  /// add_batch().  Throws util::analysis_error unless the trace holds
+  /// exactly samples() values.
   void add_fixed(std::span<const double> trace);
   void add_random(std::span<const double> trace);
 
@@ -60,8 +63,9 @@ public:
   /// samples + r * sample_stride and belong to the fixed population when
   /// is_fixed[r] != 0.  Each population's accumulator is updated in
   /// ascending row order through the register-blocked batch kernels
-  /// (stats/batch_kernels.h), so the result is bit-identical to the
-  /// equivalent add_fixed/add_random sequence at any batch size.
+  /// (stats/batch_kernels.h), so the result is bit-identical at any
+  /// batch size.  The stride may exceed samples() (a wider tile's
+  /// leading window).
   void add_batch(const double* samples, std::size_t sample_stride,
                  std::size_t rows, std::span<const unsigned char> is_fixed);
 
@@ -83,8 +87,6 @@ private:
     std::vector<double> sum;    ///< per-sample sum of (x - center)
     std::vector<double> sum_sq; ///< per-sample sum of (x - center)^2
   };
-
-  void add(population& group, std::span<const double> trace);
 
   std::size_t samples_ = 0;
   bool centered_ = false;

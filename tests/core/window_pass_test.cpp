@@ -71,7 +71,7 @@ TEST(WindowedPasses, ThreeWindowsOneReplayMatchPerTraceSliced) {
   std::vector<tvla_sink> tvla_storage;
   for (const window_spec& w : windows) {
     cpa_storage.emplace_back(0, w);
-    tvla_storage.emplace_back(tvla_sink::classifier_fn{}, w);
+    tvla_storage.emplace_back(w);
   }
   std::vector<analysis_pass*> passes;
   for (auto& sink : cpa_storage) {
