@@ -1,5 +1,7 @@
 #include "stats/attack_metrics.h"
 
+#include <algorithm>
+
 #include "util/error.h"
 
 namespace usca::stats {
@@ -47,13 +49,13 @@ std::size_t measurements_to_disclosure(
   while (n < max_traces && distinguishing_z(n) <= z_threshold) {
     n *= 2;
   }
-  if (n >= max_traces) {
-    return distinguishing_z(max_traces) > z_threshold ? max_traces
-                                                      : max_traces;
+  // z first clears the threshold between the last failed step (n/2) and
+  // n — or max_traces, when the doubling overshot it.
+  if (n >= max_traces && distinguishing_z(max_traces) <= z_threshold) {
+    return max_traces;
   }
-  // Refine between n/2 (failed) and n (succeeded) by bisection.
   std::size_t low = n / 2;
-  std::size_t high = n;
+  std::size_t high = std::min(n, max_traces);
   while (high - low > std::max<std::size_t>(1, high / 16)) {
     const std::size_t mid = low + (high - low) / 2;
     if (distinguishing_z(mid) > z_threshold) {

@@ -29,9 +29,11 @@ double guessing_entropy(int experiments,
                         std::uint64_t seed_base = 0);
 
 /// Smallest trace count at which `distinguishing_z(n)` exceeds the
-/// `confidence` z-threshold, searched over doubling steps up to
-/// `max_traces`; returns max_traces when never reached.  The z function
-/// is expected to be (noisily) increasing in n.
+/// `z_threshold`, searched over doubling steps from `start_traces` and
+/// refined by bisection between the last failed step and the first
+/// passing one (or max_traces, when the doubling overshoots it) to within
+/// 1/16; returns max_traces when z(max_traces) does not exceed it.  The z
+/// function is expected to be (noisily) increasing in n.
 std::size_t measurements_to_disclosure(
     const std::function<double(std::size_t)>& distinguishing_z,
     double z_threshold, std::size_t start_traces, std::size_t max_traces);

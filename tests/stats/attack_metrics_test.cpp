@@ -49,6 +49,19 @@ TEST(AttackMetrics, MtdFindsThresholdCrossing) {
   EXPECT_LE(mtd, 650u);
 }
 
+TEST(AttackMetrics, MtdFindsCrossingPastTheLastDoubling) {
+  // z(n) = sqrt(n)/13.6 crosses 2.326 at n ~ 1001: the doubling steps
+  // 50..800 all fail and the next one (1600) overshoots max_traces, so
+  // the search must bisect between 800 and 1200 instead of reporting
+  // "not disclosed".
+  const auto z = [](std::size_t n) {
+    return std::sqrt(static_cast<double>(n)) / 13.6;
+  };
+  const std::size_t mtd = measurements_to_disclosure(z, 2.326, 50, 1'200);
+  EXPECT_GE(mtd, 1'000u);
+  EXPECT_LT(mtd, 1'200u);
+}
+
 TEST(AttackMetrics, MtdSaturatesAtMaximum) {
   const auto never = [](std::size_t) { return 0.0; };
   EXPECT_EQ(measurements_to_disclosure(never, 2.326, 100, 1'000), 1'000u);
