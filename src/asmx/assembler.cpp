@@ -464,6 +464,11 @@ private:
       }
       if (stmt.is_directive) {
         layout_directive(stmt, sec, data_offset);
+        if (data_offset > max_data_bytes) {
+          throw assembly_error("data section grows past " +
+                                   std::to_string(max_data_bytes) + " bytes",
+                               stmt.line, 1);
+        }
       } else if (!stmt.mnemonic.empty()) {
         if (sec != section::text) {
           throw assembly_error("instruction in data section", stmt.line, 1);

@@ -28,11 +28,18 @@
 #ifndef USCA_ASMX_ASSEMBLER_H
 #define USCA_ASMX_ASSEMBLER_H
 
+#include <cstddef>
 #include <string_view>
 
 #include "asmx/program.h"
 
 namespace usca::asmx {
+
+/// Largest data section an assembly may lay out.  `.space` and `.align`
+/// take any 32-bit operand, so without a bound one directive could ask
+/// for gigabytes; a section past this size is refused with
+/// util::assembly_error in the layout pass, before anything is allocated.
+inline constexpr std::size_t max_data_bytes = std::size_t{16} << 20;
 
 struct assemble_options {
   std::uint32_t code_base = 0x0000'0000;

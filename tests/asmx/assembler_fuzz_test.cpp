@@ -168,8 +168,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AssemblerFuzz,
 // Byte flips, inserts, deletes and truncations of valid assembly — labels,
 // directives, expressions and random instructions — must assemble or throw
 // util::assembly_error: no other exception, crash or UB (the sanitizer
-// job runs this suite).  At most four edits per mutant, so no mutant can
-// grow `.space` or `.align` past a few hundred kilobytes.
+// job runs this suite).  At most four edits per mutant; a mutated
+// `.space` or `.align` that would grow the data section past
+// max_data_bytes is refused like any other malformed statement.
 TEST(AssemblerMutationFuzz, MutantsAssembleOrThrowAssemblyError) {
   static constexpr char alphabet[] = "0123456789abcdefx#[],:-+.;@/ \n\trlsh()";
   util::xoshiro256 rng(0x3a7a7e);

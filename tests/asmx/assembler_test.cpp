@@ -174,6 +174,22 @@ TEST(Assembler, ErrorInstructionInDataSection) {
   EXPECT_THROW(assemble(".data\nadd r1, r2, r3\n"), util::assembly_error);
 }
 
+TEST(Assembler, ErrorDataSectionPastTheLimit) {
+  // `.space` and `.align` take any 32-bit operand; a data section past
+  // max_data_bytes is refused in the layout pass, before it is allocated.
+  EXPECT_THROW(assemble(".data\nb: .space 0x40000000\n"),
+               util::assembly_error);
+  EXPECT_THROW(assemble(".data\nb: .space 0xffffffff\n"),
+               util::assembly_error);
+  EXPECT_THROW(assemble(".data\n.byte 1\n.align 0x80000000\n"),
+               util::assembly_error);
+  // Each directive within the limit, their sum one byte past it.
+  EXPECT_THROW(assemble(".data\n.space 0x800000\n.space 0x800001\n"),
+               util::assembly_error);
+  const program p = assemble(".data\n.space 0x800000\n.space 0x800000\n");
+  EXPECT_EQ(p.data.size(), max_data_bytes);
+}
+
 TEST(Assembler, ErrorTrailingTokens) {
   EXPECT_THROW(assemble("nop nop"), util::assembly_error);
 }

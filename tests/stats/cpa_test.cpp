@@ -138,6 +138,19 @@ TEST(CpaEngine, DimensionMismatchThrows) {
   EXPECT_THROW(engine.add_trace(trace4, h7), util::analysis_error);
 }
 
+TEST(PartitionedCpa, TraceLengthMismatchThrows) {
+  // add_batch() accepts a stride longer than the trace length; a single
+  // trace must still match it exactly, shorter or longer.
+  partitioned_cpa cpa(4);
+  const std::vector<double> shorter(3, 0.0);
+  const std::vector<double> longer(5, 0.0);
+  EXPECT_THROW(cpa.add_trace(0, shorter), util::analysis_error);
+  EXPECT_THROW(cpa.add_trace(0, longer), util::analysis_error);
+  EXPECT_EQ(cpa.traces(), 0u);
+  cpa.add_trace(0, std::vector<double>(4, 0.0));
+  EXPECT_EQ(cpa.traces(), 1u);
+}
+
 TEST(CpaEngine, TooFewTracesGivesZeroCorrelations) {
   cpa_engine engine(2, 4);
   const std::vector<double> trace = {1.0, 2.0};

@@ -76,9 +76,15 @@ TEST(Tvla, NullDataStaysBelowThreshold) {
 }
 
 TEST(Tvla, TraceLengthMismatchThrows) {
+  // add_batch() accepts a stride longer than the trace length; a single
+  // trace must still match it exactly, shorter or longer.
   tvla_accumulator acc(4);
-  const std::vector<double> wrong(3, 0.0);
-  EXPECT_THROW(acc.add_fixed(wrong), util::analysis_error);
+  const std::vector<double> shorter(3, 0.0);
+  const std::vector<double> longer(5, 0.0);
+  EXPECT_THROW(acc.add_fixed(shorter), util::analysis_error);
+  EXPECT_THROW(acc.add_fixed(longer), util::analysis_error);
+  EXPECT_THROW(acc.add_random(shorter), util::analysis_error);
+  EXPECT_THROW(acc.add_random(longer), util::analysis_error);
 }
 
 TEST(Tvla, AbsTHasOnePerSample) {
