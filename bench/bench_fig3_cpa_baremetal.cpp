@@ -39,7 +39,7 @@ using namespace usca;
 
 int main(int argc, char** argv) {
   const bench::arg_map args(argc, argv);
-  const std::size_t traces = args.get_size("traces", 5'000);
+  const std::size_t traces = args.get_size("traces", 5'000, 1);
   const int averaging = static_cast<int>(args.get_size("averaging", 16));
   const std::uint64_t seed = args.get_size("seed", 0xf16'3);
   const unsigned threads =

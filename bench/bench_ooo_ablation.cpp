@@ -119,8 +119,9 @@ cell_result run_cell(const ablation_cell& cell, std::size_t max_traces,
 
 int main(int argc, char** argv) {
   const bench::arg_map args(argc, argv);
-  const std::size_t max_traces = args.get_size("max_traces", 1'200);
-  const std::size_t tvla_traces = args.get_size("tvla_traces", 800);
+  const std::size_t max_traces =
+      args.get_size("max_traces", 1'200, bench::mtd_start_traces);
+  const std::size_t tvla_traces = args.get_size("tvla_traces", 800, 1);
   const int averaging = static_cast<int>(args.get_size("averaging", 4));
   const auto threads = static_cast<unsigned>(args.get_size("threads", 0));
   const std::uint64_t seed = args.get_size("seed", 0xab1a7e);

@@ -78,7 +78,7 @@ tvla_outcome run_tvla(bool os_noise, std::size_t traces, int averaging,
 
 int main(int argc, char** argv) {
   const bench::arg_map args(argc, argv);
-  const std::size_t traces = args.get_size("traces", 2'000);
+  const std::size_t traces = args.get_size("traces", 2'000, 1);
   const int averaging = static_cast<int>(args.get_size("averaging", 4));
   const std::uint64_t seed = args.get_size("seed", 0x7e57);
   const unsigned threads =

@@ -41,24 +41,34 @@ public:
     }
   }
 
-  std::size_t get_size(const std::string& key, std::size_t fallback) const {
+  /// A non-negative integer of at least `min_value` (a trace count the
+  /// analysis cannot run on, e.g. 0, must exit with usage, not abort).
+  std::size_t get_size(const std::string& key, std::size_t fallback,
+                       std::size_t min_value = 0) const {
     const auto it = values_.find(key);
     if (it == values_.end()) {
       return fallback;
     }
+    const std::string expected =
+        min_value == 0 ? "a non-negative integer"
+                       : "an integer >= " + std::to_string(min_value);
     // stoull alone is too lenient: it wraps negatives and ignores
     // trailing garbage, so "traces=-1" would become ~1.8e19.
+    unsigned long long value = 0;
     try {
       std::size_t consumed = 0;
-      const unsigned long long value = std::stoull(it->second, &consumed);
+      value = std::stoull(it->second, &consumed);
       if (consumed != it->second.size() ||
           it->second.find('-') != std::string::npos) {
-        die(key, it->second, "a non-negative integer");
+        die(key, it->second, expected);
       }
-      return static_cast<std::size_t>(value);
     } catch (const std::exception&) {
-      die(key, it->second, "a non-negative integer");
+      die(key, it->second, expected);
     }
+    if (value < min_value) {
+      die(key, it->second, expected);
+    }
+    return static_cast<std::size_t>(value);
   }
 
   double get_double(const std::string& key, double fallback) const {
@@ -81,9 +91,9 @@ public:
 private:
   [[noreturn]] static void die(const std::string& key,
                                const std::string& value,
-                               const char* expected) {
+                               const std::string& expected) {
     std::fprintf(stderr, "invalid value '%s' for %s= (expected %s)\n",
-                 value.c_str(), key.c_str(), expected);
+                 value.c_str(), key.c_str(), expected.c_str());
     std::exit(2);
   }
 
@@ -138,10 +148,14 @@ inline std::size_t pack_rows(const std::vector<power::trace>& traces,
   return width;
 }
 
+/// First prefix the MTD search of cpa_attack_cost() probes, so the
+/// fewest traces an ablation campaign can run with.
+inline constexpr std::size_t mtd_start_traces = 50;
+
 /// CPA attack cost of one acquired campaign under the HW(SubBytes-out)
 /// model: measurements-to-disclosure of key byte 0 (Fisher-z > 2.326,
-/// searched from 50 traces up to all of them) and the number of key
-/// bytes at rank 0 over every trace.
+/// searched from mtd_start_traces up to all of them) and the number of
+/// key bytes at rank 0 over every trace.
 struct cpa_cost {
   std::size_t mtd = 0;
   int key_bytes = 0;
@@ -175,7 +189,7 @@ inline cpa_cost cpa_attack_cost(const std::vector<double>& matrix,
       [&](std::size_t n) {
         return solve_prefix(0, n).distinguishing_z(key[0]);
       },
-      2.326, 50, plaintexts.size());
+      2.326, mtd_start_traces, plaintexts.size());
   for (std::size_t b = 0; b < key.size(); ++b) {
     if (solve_prefix(b, plaintexts.size()).rank_of(key[b]) == 0) {
       ++out.key_bytes;
