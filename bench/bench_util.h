@@ -165,10 +165,10 @@ struct cpa_cost {
 /// `plaintexts[r]`.  Every MTD probe solves a partitioned CPA fed the
 /// matrix's first n rows in one add_batch(), so the search costs no
 /// extra simulation.
-inline cpa_cost cpa_attack_cost(const std::vector<double>& matrix,
-                                std::size_t width,
-                                const std::vector<crypto::aes_block>& plaintexts,
-                                const crypto::aes_key& key) {
+inline cpa_cost
+cpa_attack_cost(const std::vector<double>& matrix, std::size_t width,
+                const std::vector<crypto::aes_block>& plaintexts,
+                const crypto::aes_key& key) {
   const auto model = [](std::size_t guess, std::size_t pt_byte) {
     return static_cast<double>(util::hamming_weight(
         crypto::subbytes_hypothesis(static_cast<std::uint8_t>(pt_byte),
